@@ -1,9 +1,8 @@
-"""Hot Monte Carlo kernels: numba-jitted with a pure-numpy fallback.
+"""Hot Monte Carlo kernels of the batch engine, in numpy.
 
-Set PMTCOUNT_NO_NUMBA=1 (or any non-empty value) to force the numpy path.
-Both paths perform floating-point operations on each sample in the same
-order, so they produce bitwise-identical trial results; the numpy versions
-loop over arrival columns / sample offsets (small) instead of trials.
+Each kernel maps a drawn batch to one recorded count per trial. They loop
+over arrival columns and sample offsets (few) and vectorize over trials
+(many); the single-trial chain in `simulate` is their reference.
 
 Array layout shared by all kernels:
   times  (trials, max_count) arrival epochs sorted ascending per row,
@@ -14,26 +13,11 @@ Array layout shared by all kernels:
 """
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-NUMBA_ENABLED = False
-if not os.environ.get("PMTCOUNT_NO_NUMBA"):
-    try:
-        import numba
 
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
-
-
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-
-def dead_time_counts_numpy(times: np.ndarray, counts: np.ndarray,
-                           tau: float) -> np.ndarray:
+def dead_time_counts(times: np.ndarray, counts: np.ndarray,
+                     tau: float) -> np.ndarray:
     """Ideal infinite-rate receiver: paralyzable dead-time censoring.
 
     An arrival is recorded iff the gap from the previous arrival exceeds
@@ -51,10 +35,10 @@ def dead_time_counts_numpy(times: np.ndarray, counts: np.ndarray,
     return out
 
 
-def receiver_counts_numpy(times: np.ndarray, counts: np.ndarray,
-                          amps: np.ndarray, noise: np.ndarray,
-                          n_samp: int, T: float, tau: float,
-                          xi: float) -> np.ndarray:
+def receiver_counts(times: np.ndarray, counts: np.ndarray,
+                    amps: np.ndarray, noise: np.ndarray,
+                    n_samp: int, T: float, tau: float,
+                    xi: float) -> np.ndarray:
     """Full receiver chain: held pulses -> sampling -> quantize -> edges.
 
     Samples sit at t_k = k T for k = 1..n_samp; an arrival at t with
@@ -89,70 +73,3 @@ def receiver_counts_numpy(times: np.ndarray, counts: np.ndarray,
     if n_samp > 1:
         edges += (bits[:, 1:] & ~bits[:, :-1]).sum(axis=1)
     return edges
-
-
-# ---------------------------------------------------------------------------
-# numba twins
-
-if NUMBA_ENABLED:
-
-    @numba.njit(cache=True, nogil=True)
-    def _dead_time_counts_numba(times, counts, tau):
-        trials = times.shape[0]
-        out = np.zeros(trials, dtype=np.int64)
-        for i in range(trials):
-            prev = -np.inf
-            n = 0
-            for j in range(counts[i]):
-                t = times[i, j]
-                if t - prev > tau:
-                    n += 1
-                prev = t
-            out[i] = n
-        return out
-
-    @numba.njit(cache=True, nogil=True)
-    def _receiver_counts_numba(times, counts, amps, noise, n_samp, T, tau, xi):
-        trials = times.shape[0]
-        has_noise = noise.size > 0
-        out = np.zeros(trials, dtype=np.int64)
-        F = np.zeros(n_samp)
-        for i in range(trials):
-            for k in range(n_samp):
-                F[k] = 0.0
-            for j in range(counts[i]):
-                t = times[i, j]
-                k0 = int(math.ceil(t / T))
-                if k0 < 1:
-                    k0 = 1
-                k1 = int(math.ceil((t + tau) / T))
-                if k1 > n_samp + 1:
-                    k1 = n_samp + 1
-                for k in range(k0, k1):
-                    F[k - 1] += amps[i, j]
-            if has_noise:
-                for k in range(n_samp):
-                    F[k] += noise[i, k]
-            edges = 0
-            prev_bit = False
-            for k in range(n_samp):
-                bit = F[k] >= xi
-                if bit and not prev_bit:
-                    edges += 1
-                prev_bit = bit
-            out[i] = edges
-        return out
-
-
-def dead_time_counts(times, counts, tau):
-    if NUMBA_ENABLED:
-        return _dead_time_counts_numba(times, counts, tau)
-    return dead_time_counts_numpy(times, counts, tau)
-
-
-def receiver_counts(times, counts, amps, noise, n_samp, T, tau, xi):
-    if NUMBA_ENABLED:
-        return _receiver_counts_numba(times, counts, amps, noise,
-                                      n_samp, T, tau, xi)
-    return receiver_counts_numpy(times, counts, amps, noise,
-                                 n_samp, T, tau, xi)

@@ -18,10 +18,11 @@ import numpy as np
 
 from . import __version__
 from .design import DegenerateKlError, select_params
-from .detector import ber_mc, build_rule, error_prob_analytic
+from .detector import (ber_mc, build_rule, build_rule_from_fit,
+                       error_prob_analytic)
 from .moments import (ApproximationBreakdownError, binomial_approx,
-                      moments_approx_noiseless, moments_exact_noiseless,
-                      moments_full, moments_shot)
+                      fit_binomial, moments_approx_noiseless,
+                      moments_exact_noiseless, moments_full, moments_shot)
 from .params import ChannelParams, ReceiverConfig, derive_params
 from .simulate import default_workers, hist_moments, simulate_counts_hist
 from .subpoisson import SeriesBreakdownError, invert_moments, subpoisson_pmf
@@ -134,31 +135,36 @@ def _resolve(args):
                 setattr(args, key, val)
 
 
-def _receiver(args) -> ReceiverConfig:
-    missing = [k for k in ("T", "tau", "xi") if getattr(args, k, None) is None]
+def _require(what, params, *keys):
+    missing = [k for k in keys if params.get(k) is None]
     if missing:
-        raise ValueError(f"missing receiver parameters: {', '.join(missing)}")
-    return ReceiverConfig(T=args.T, tau=args.tau, xi=args.xi,
-                          sigma=args.sigma or 0.0, sigma0=args.sigma0 or 0.0)
+        raise ValueError(f"missing {what}: {', '.join(missing)}")
+
+
+def _receiver(args, **swept) -> ReceiverConfig:
+    """Receiver config from the resolved args, swept values overriding."""
+    kw = dict(vars(args), **swept)
+    _require("receiver parameters", kw, "T", "tau", "xi")
+    return ReceiverConfig(T=kw["T"], tau=kw["tau"], xi=kw["xi"],
+                          sigma=kw["sigma"] or 0.0, sigma0=kw["sigma0"] or 0.0)
 
 
 def _channel(args) -> ChannelParams:
-    if args.lambda0 is None or args.lambda1 is None:
-        raise ValueError("missing channel parameters: lambda0, lambda1")
+    _require("channel parameters", vars(args), "lambda0", "lambda1")
     return ChannelParams(lambda0=args.lambda0, lambda1=args.lambda1)
 
 
-def _mc_fit(lam, cfg, trials, seed, workers):
-    hist = simulate_counts_hist(lam, cfg, trials, seed, workers)
-    mean, var = hist_moments(hist)
-    lam_fit, tau_fit = invert_moments(mean, var)
-    return mean, var, lam_fit, tau_fit
+def _mc_moments(args, lam, cfg, seed):
+    """Monte Carlo mean and unbiased variance of the recorded count."""
+    hist = simulate_counts_hist(lam, cfg, args.trials, seed, args.workers)
+    return hist_moments(hist)
 
 
 # ---------------------------------------------------------------------------
 # subcommand bodies
 
 def _cmd_pmf(args):
+    _require("parameters", vars(args), "lam", "tau")
     dist = subpoisson_pmf(args.lam, args.tau)
     rows = [(n, p) for n, p in enumerate(dist.pmf)]
     return ["n", "probability"], rows
@@ -166,6 +172,7 @@ def _cmd_pmf(args):
 
 def _cmd_moments(args):
     cfg = _receiver(args)
+    _require("parameters", vars(args), "lam")
     rows = []
     for name, fn in (("exact_noiseless", moments_exact_noiseless),
                      ("approx_noiseless", moments_approx_noiseless),
@@ -196,44 +203,42 @@ def _cmd_fit(args):
             [(mean, var, lam_fit, tau_fit)])
 
 
-def _cmd_sweep_sampling(args):
-    rows = []
-    for i, T in enumerate(args.values):
-        cfg = ReceiverConfig(T=T, tau=args.tau, xi=args.xi,
-                             sigma=args.sigma or 0.0, sigma0=args.sigma0 or 0.0)
-        m = moments_approx_noiseless(args.lam, cfg)
-        _, _, lam_fit, tau_fit = _mc_fit(args.lam, cfg, args.trials,
-                                         args.seed + i, args.workers)
-        rows.append((T, tau_fit, lam_fit, m.tau_equiv, m.lambda_equiv))
-    return (["T", "tau_fit", "lambda_fit", "tau_theory", "lambda_theory"],
-            rows)
+def _equiv_row(model):
+    """Row builder: MC-fitted (tau', lambda') beside `model`'s theory."""
+    def row(args, cfg, seed):
+        m = model(args.lam, cfg)
+        lam_fit, tau_fit = invert_moments(
+            *_mc_moments(args, args.lam, cfg, seed))
+        return tau_fit, lam_fit, m.tau_equiv, m.lambda_equiv
+    return row
 
 
-def _cmd_sweep_noise(args):
-    rows = []
-    for i, sigma in enumerate(args.values):
-        cfg = ReceiverConfig(T=args.T, tau=args.tau, xi=args.xi,
-                             sigma=sigma, sigma0=args.sigma0 or 0.0)
-        m = moments_shot(args.lam, cfg)
-        _, _, lam_fit, tau_fit = _mc_fit(args.lam, cfg, args.trials,
-                                         args.seed + i, args.workers)
-        rows.append((sigma, tau_fit, lam_fit, m.tau_equiv, m.lambda_equiv))
-    return (["sigma", "tau_fit", "lambda_fit", "tau_theory",
-             "lambda_theory"], rows)
+def _binomial_row(args, cfg, seed):
+    """Row builder: theory binomial (N, P) beside the MC-fitted one."""
+    b = binomial_approx(moments_full(args.lam, cfg), derive_params(cfg))
+    fit = fit_binomial(*_mc_moments(args, args.lam, cfg, seed))
+    return b.N, b.P, fit.N, fit.P
 
 
-def _cmd_approx_params(args):
-    rows = []
-    for i, xi in enumerate(args.values):
-        cfg = ReceiverConfig(T=args.T, tau=args.tau, xi=xi,
-                             sigma=args.sigma or 0.0, sigma0=args.sigma0 or 0.0)
-        b = binomial_approx(moments_full(args.lam, cfg), derive_params(cfg))
-        mean, var, _, _ = _mc_fit(args.lam, cfg, args.trials,
-                                  args.seed + i, args.workers)
-        p_fit = 1.0 - var / mean
-        n_fit = mean / p_fit
-        rows.append((xi, b.N, b.P, n_fit, p_fit))
-    return ["xi", "N_theory", "P_theory", "N_fit", "P_fit"], rows
+_EQUIV_COLUMNS = ["tau_fit", "lambda_fit", "tau_theory", "lambda_theory"]
+
+# MC sweep command -> (swept receiver parameter, row builder, row columns)
+_SWEEPS = {
+    "sweep-sampling": ("T", _equiv_row(moments_approx_noiseless),
+                       _EQUIV_COLUMNS),
+    "sweep-noise": ("sigma", _equiv_row(moments_shot), _EQUIV_COLUMNS),
+    "approx-params": ("xi", _binomial_row,
+                      ["N_theory", "P_theory", "N_fit", "P_fit"]),
+}
+
+
+def _cmd_sweep(args):
+    """One MC-versus-theory row per swept value; point i uses seed + i."""
+    swept, row, columns = _SWEEPS[args.command]
+    _require("parameters", vars(args), "lam", "values")
+    rows = [(v, *row(args, _receiver(args, **{swept: v}), args.seed + i))
+            for i, v in enumerate(args.values)]
+    return [swept, *columns], rows
 
 
 def _cmd_design(args):
@@ -251,20 +256,17 @@ def _cmd_design(args):
 
 def _cmd_ber(args):
     channel = _channel(args)
+    if args.sweep:
+        _require("parameters", vars(args), "values")
     rows = []
-    values = args.values if args.sweep else [None]
-    for i, v in enumerate(values):
-        kw = dict(T=args.T, tau=args.tau, xi=args.xi,
-                  sigma=args.sigma or 0.0, sigma0=args.sigma0 or 0.0)
-        chan = channel
-        if args.sweep == "xi":
-            kw["xi"] = v
-        elif args.sweep == "tau":
-            kw["tau"] = v
-        elif args.sweep == "lambda_s":
+    for i, v in enumerate(args.values if args.sweep else [None]):
+        chan, swept = channel, {}
+        if args.sweep == "lambda_s":
             chan = ChannelParams(lambda0=channel.lambda0,
                                  lambda1=channel.lambda0 + v)
-        cfg = ReceiverConfig(**kw)
+        elif args.sweep:
+            swept = {args.sweep: v}
+        cfg = _receiver(args, **swept)
         if args.mc_fitted_rule:
             rule = _mc_rule(chan, cfg, args)
         else:
@@ -278,14 +280,9 @@ def _cmd_ber(args):
 
 
 def _mc_rule(channel, cfg, args):
-    from .detector import build_rule_from_fit
-    from .moments import BinomialApprox
-    fits = []
-    for i, lam in enumerate((channel.lambda0, channel.lambda1)):
-        mean, var, _, _ = _mc_fit(lam, cfg, args.trials,
-                                  args.seed + 1000 + i, args.workers)
-        p = 1.0 - var / mean
-        fits.append(BinomialApprox(N=mean / p, P=p))
+    """Rule from binomials fitted to MC moments at seeds seed+1000, +1001."""
+    fits = [fit_binomial(*_mc_moments(args, lam, cfg, args.seed + 1000 + i))
+            for i, lam in enumerate((channel.lambda0, channel.lambda1))]
     return build_rule_from_fit(*fits)
 
 
@@ -293,9 +290,7 @@ _COMMANDS = {
     "pmf": _cmd_pmf,
     "moments": _cmd_moments,
     "fit": _cmd_fit,
-    "sweep-sampling": _cmd_sweep_sampling,
-    "sweep-noise": _cmd_sweep_noise,
-    "approx-params": _cmd_approx_params,
+    **dict.fromkeys(_SWEEPS, _cmd_sweep),
     "design": _cmd_design,
     "ber": _cmd_ber,
 }

@@ -244,3 +244,16 @@ def binomial_approx(moments: CountMoments, derived: DerivedParams) -> BinomialAp
         raise ApproximationBreakdownError(
             f"binomial trial count N={N} <= mean {n_hat}")
     return BinomialApprox(N=N, P=P)
+
+
+def fit_binomial(mean: float, var: float) -> BinomialApprox:
+    """Binomial(N, P) with the given mean and variance (e.g. measured).
+
+    P = 1 - var/mean and N = mean/P; defined only for a sub-Poisson count,
+    so rejects anything but 0 < var < mean (approximation breakdown).
+    """
+    if not (0.0 < var < mean):
+        raise ApproximationBreakdownError(
+            f"binomial fit needs 0 < variance < mean, got {var} and {mean}")
+    p = 1.0 - var / mean
+    return BinomialApprox(N=mean / p, P=p)

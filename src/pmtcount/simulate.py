@@ -3,8 +3,8 @@
 Trials are grouped into fixed-size batches; batch b draws all of its
 randomness from default_rng(SeedSequence(seed, spawn_key=(b,))), and
 reductions are integer histograms accumulated in batch order, so results
-are identical for any worker count. Workers are threads: the numba
-kernels release the GIL, the numpy fallback simply runs them serially.
+are identical for any worker count. Workers are threads; the numpy kernels
+release the GIL only inside array operations, so batches overlap partly.
 """
 from __future__ import annotations
 
@@ -143,59 +143,53 @@ def _map_batches(worker, n_batches: int, workers: int | None):
         return list(pool.map(worker, range(n_batches)))
 
 
-def _batch_sizes(trials: int):
+def _counts_hist(lam, cfg, kernel, hist_len, trials, seed, workers):
+    """Histogram of kernel(counts, times, amps, noise) over `trials` symbols.
+
+    Batch b is drawn from _batch_rng(seed, b); the per-batch bincounts are
+    summed in batch order, growing the histogram if a count overflows it.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+
+    def worker(b):
+        n = min(BATCH_SIZE, trials - b * BATCH_SIZE)
+        batch = _draw_batch(lam, cfg, _batch_rng(seed, b), n)
+        return np.bincount(kernel(*batch), minlength=hist_len)
+
     n_batches = (trials + BATCH_SIZE - 1) // BATCH_SIZE
-    return n_batches
+    hist = np.zeros(hist_len, dtype=np.int64)
+    for h in _map_batches(worker, n_batches, workers):
+        if h.size > hist.size:
+            hist = np.pad(hist, (0, h.size - hist.size))
+        hist[:h.size] += h
+    return hist
 
 
 def simulate_counts_hist(lam: float, cfg: ReceiverConfig, trials: int,
                          seed: int, workers: int | None = None) -> np.ndarray:
     """Histogram of recorded pulse counts over `trials` receiver symbols."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     n_samp = cfg.n_samples
-    hist_len = n_samp // 2 + 1 + _HIST_PAD
 
-    def worker(b):
-        n = min(BATCH_SIZE, trials - b * BATCH_SIZE)
-        rng = _batch_rng(seed, b)
-        counts, times, amps, noise = _draw_batch(lam, cfg, rng, n)
-        ns = _kernels.receiver_counts(times, counts, amps, noise,
-                                      n_samp, cfg.T, cfg.tau, cfg.xi)
-        return np.bincount(ns, minlength=hist_len)
+    def kernel(counts, times, amps, noise):
+        return _kernels.receiver_counts(times, counts, amps, noise,
+                                        n_samp, cfg.T, cfg.tau, cfg.xi)
 
-    parts = _map_batches(worker, _batch_sizes(trials), workers)
-    hist = np.zeros(hist_len, dtype=np.int64)
-    for h in parts:
-        if h.size > hist.size:
-            hist = np.pad(hist, (0, h.size - hist.size))
-        hist[:h.size] += h
-    return hist
+    return _counts_hist(lam, cfg, kernel, n_samp // 2 + 1 + _HIST_PAD,
+                        trials, seed, workers)
 
 
 def ideal_counts_hist(lam: float, tau: float, trials: int, seed: int,
                       workers: int | None = None) -> np.ndarray:
     """Histogram of dead-time-censored counts for the ideal receiver."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if not (0.0 < tau < 1.0):
         raise ValueError("tau must be in (0, 1)")
-    hist_len = int(1.0 / tau) + 2 + _HIST_PAD
 
-    def worker(b):
-        n = min(BATCH_SIZE, trials - b * BATCH_SIZE)
-        rng = _batch_rng(seed, b)
-        counts, times, _, _ = _draw_batch(lam, None, rng, n)
-        ns = _kernels.dead_time_counts(times, counts, tau)
-        return np.bincount(ns, minlength=hist_len)
+    def kernel(counts, times, amps, noise):
+        return _kernels.dead_time_counts(times, counts, tau)
 
-    parts = _map_batches(worker, _batch_sizes(trials), workers)
-    hist = np.zeros(hist_len, dtype=np.int64)
-    for h in parts:
-        if h.size > hist.size:
-            hist = np.pad(hist, (0, h.size - hist.size))
-        hist[:h.size] += h
-    return hist
+    return _counts_hist(lam, None, kernel, int(1.0 / tau) + 2 + _HIST_PAD,
+                        trials, seed, workers)
 
 
 def hist_moments(hist: np.ndarray) -> tuple[float, float]:

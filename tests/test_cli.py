@@ -1,5 +1,6 @@
 """CLI harness: CSV output, config layering, exit codes, reproducibility."""
 import csv
+import hashlib
 import json
 
 import pytest
@@ -132,3 +133,63 @@ class TestReproducibility:
         for value in _read_csv(out)[1]:
             digits = value.replace(".", "").replace("-", "").lstrip("0")
             assert len(digits.split("e")[0]) <= 9
+
+
+class TestSweepOutputs:
+    # SHA-256 of each CSV at --trials 20000; any change to the random
+    # stream, the sweep loop or the fits shows up here.
+    CASES = [
+        (["sweep-sampling", "--preset", "fig3", "--values", "0.02", "0.005",
+          "--seed", "3"],
+         "571f31e4a42dba665db6454ca1d31fd26ebb381cbe55b5a0ed7b324cf78c30ff"),
+        (["sweep-noise", "--preset", "fig5", "--values", "0.1", "0.3",
+          "--seed", "4"],
+         "eeb05ca68167d523d2ea206cbf6157f7614e6ff9ceebf841f5d85622a98aa341"),
+        (["approx-params", "--preset", "fig6", "--values", "0.2", "0.8",
+          "--seed", "5"],
+         "a425b1b2469b454f1ace47b7087689c2034630161610ff272176828283e8dd5a"),
+        (["ber", "--preset", "fig10", "--values", "0.2", "0.5",
+          "--seed", "6"],
+         "219790ce0e6d6cf10dbf6fcba51d2d65f82df46d9bd8cbd0081e6867dac55a01"),
+        (["ber", "--preset", "fig9", "--values", "0.01", "0.03",
+          "--seed", "7", "--mc-fitted-rule"],
+         "5765db99fcc5648fd1c6456eb732a0fa96dcf1f1b71719f0e0382888ff1992a9"),
+    ]
+
+    def test_csv_bytes_pinned(self, tmp_path):
+        for i, (argv, digest) in enumerate(self.CASES):
+            out = tmp_path / f"{i}.csv"
+            assert main(argv + ["--trials", "20000", "-o", str(out)]) == \
+                EXIT_OK
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, \
+                argv
+
+    def test_mc_fitted_rule_needs_no_moment_inversion(self, tmp_path):
+        # Only the binomial fit of the MC moments is used, so a sample
+        # that no (lambda', tau') reproduces still gives a rule.
+        assert main(["ber", "--preset", "fig10", "--values", "0.3",
+                     "--trials", "3", "--seed", "1", "--mc-fitted-rule",
+                     "-o", str(tmp_path / "b.csv")]) == EXIT_OK
+
+    @pytest.mark.parametrize("argv", [
+        ["approx-params", "--preset", "fig6", "--values", "0.5"],
+        ["ber", "--preset", "fig10", "--values", "0.3", "--mc-fitted-rule"],
+    ])
+    def test_degenerate_fit_is_breakdown(self, argv):
+        # One trial has variance 0: no binomial matches it.
+        assert main(argv + ["--trials", "1"]) == EXIT_BREAKDOWN
+
+
+@pytest.mark.parametrize("argv", [
+    ["approx-params", "--lambda", "10", "--T", "0.01", "--values", "0.3"],
+    ["approx-params", "--lambda", "10", "--T", "0.01", "--tau", "0.02"],
+    ["sweep-sampling", "--tau", "0.02", "--xi", "0.3", "--values", "0.01"],
+    ["ber", "--preset", "fig10", "--sweep", "lambda_s", "--values", "5"],
+    ["ber", "--preset", "fig10", "--sweep", "tau", "--values", "0.02"],
+    ["ber", "--lambda0", "1", "--lambda1", "12", "--T", "0.01", "--tau",
+     "0.01", "--xi", "0.3", "--sweep", "xi"],
+    ["pmf", "--tau", "0.01"],
+    ["moments", "--T", "0.01", "--tau", "0.02", "--xi", "0.3"],
+])
+def test_incomplete_config_is_config_error(argv):
+    assert main(argv) == EXIT_INVALID_CONFIG

@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from pmtcount import (ApproximationBreakdownError, ReceiverConfig, Regime,
-                      binomial_approx, derive_params, moments_approx_noiseless,
+from pmtcount import (ApproximationBreakdownError, BinomialApprox,
+                      ReceiverConfig, Regime, binomial_approx, derive_params,
+                      fit_binomial, moments_approx_noiseless,
                       moments_exact_noiseless, moments_full, moments_shot)
 
 # Frozen high-precision reference values.
@@ -146,3 +147,16 @@ class TestBinomialApprox:
         m = moments_full(0.1, cfg)
         with pytest.raises(ApproximationBreakdownError):
             binomial_approx(m, derive_params(cfg))
+
+
+class TestFitBinomial:
+    def test_round_trip(self):
+        b = BinomialApprox(N=31.5, P=0.27)
+        fit = fit_binomial(b.mean, b.variance)
+        assert fit.N == pytest.approx(b.N, rel=1e-12)
+        assert fit.P == pytest.approx(b.P, rel=1e-12)
+
+    @pytest.mark.parametrize("var", [0.0, -1.0, 5.0, 7.5, math.nan])
+    def test_rejects_non_sub_poisson(self, var):
+        with pytest.raises(ApproximationBreakdownError):
+            fit_binomial(5.0, var)
