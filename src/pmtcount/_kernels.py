@@ -1,15 +1,14 @@
-"""Hot Monte Carlo kernels of the batch engine, in numpy.
+"""Hot Monte Carlo kernels of the batch engine: numpy, no Python loops.
+The single-trial chain in `simulate` is their reference.
 
-Each kernel maps a drawn batch to one recorded count per trial. They loop
-over arrival columns and sample offsets (few) and vectorize over trials
-(many); the single-trial chain in `simulate` is their reference.
+receiver_counts scatters every (arrival, covered sample) pair, in (trial,
+arrival) order, with one weighted `np.bincount`, which adds sequentially:
+each sample sums its pulses from 0.0 in arrival order, then gets its noise,
+so the sample values are bitwise those of adding one arrival at a time.
 
-Array layout shared by all kernels:
-  times  (trials, max_count) arrival epochs sorted ascending per row,
-         padded with +inf beyond counts[row].
-  counts (trials,) number of valid arrivals per row.
-  amps   (trials, max_count) pulse amplitudes (ignored beyond counts).
-  noise  (trials, n_samp) per-sample thermal noise, or a (0, 0) array.
+Batch layout: times (trials, max_count) epochs sorted per row, +inf past
+counts[row]; counts (trials,); amps (trials, max_count), ignored past
+counts; noise (trials, n_samp) thermal noise, or (0, 0) when noiseless.
 """
 from __future__ import annotations
 
@@ -18,21 +17,28 @@ import numpy as np
 
 def dead_time_counts(times: np.ndarray, counts: np.ndarray,
                      tau: float) -> np.ndarray:
-    """Ideal infinite-rate receiver: paralyzable dead-time censoring.
+    """Ideal infinite-rate receiver: paralyzable dead-time censoring. The
+    first arrival is recorded, then each whose gap from the previous one
+    exceeds tau (the merged pulse train must drop low first)."""
+    col = np.arange(1, times.shape[1])
+    with np.errstate(invalid="ignore"):  # inf - inf in the padding
+        gaps = np.diff(times, axis=1) > tau
+    return (counts > 0) + (gaps & (col < counts[:, None])).sum(axis=1)
 
-    An arrival is recorded iff the gap from the previous arrival exceeds
-    tau (the merged pulse train must drop low first); the first arrival is
-    always recorded.
-    """
-    trials, max_count = times.shape
-    out = np.zeros(trials, dtype=np.int64)
-    prev = np.full(trials, -np.inf)
-    for j in range(max_count):
-        t = times[:, j]
-        ok = (j < counts) & (t - prev > tau)
-        out += ok
-        prev = np.where(j < counts, t, prev)
-    return out
+
+def _pulse_cells(times, counts, amps, n_samp, T, tau):
+    """Flat (trial, sample) bin and amplitude of each covered sample."""
+    max_count = times.shape[1]
+    flat = np.flatnonzero(np.arange(max_count) < counts[:, None])
+    t = times.ravel()[flat]
+    k0 = np.maximum(np.ceil(t / T), 1.0).astype(np.int64)
+    k1 = np.minimum(np.ceil((t + tau) / T), n_samp + 1.0).astype(np.int64)
+    width = np.maximum(k1 - k0, 0)
+    # Pair i of an arrival whose pairs start at cumsum - width: k0 + i - start.
+    bins = np.repeat(flat // max_count * n_samp + k0 - 1
+                     - (np.cumsum(width) - width), width)
+    bins += np.arange(bins.size)
+    return bins, np.repeat(amps.ravel()[flat], width)
 
 
 def receiver_counts(times: np.ndarray, counts: np.ndarray,
@@ -46,30 +52,11 @@ def receiver_counts(times: np.ndarray, counts: np.ndarray,
     is recorded per 0->1 transition of the quantized stream, with an
     implicit low state before the symbol.
     """
-    trials, max_count = times.shape
-    F = np.zeros((trials, n_samp))
-    rows = np.arange(trials)
-    for j in range(max_count):
-        valid = j < counts
-        if not valid.any():
-            break
-        t = times[:, j]
-        with np.errstate(invalid="ignore"):
-            k0 = np.ceil(t / T)
-            k1 = np.ceil((t + tau) / T)
-        k0 = np.where(valid, k0, 1.0)
-        k1 = np.where(valid, k1, 0.0)
-        k0 = np.maximum(k0, 1.0).astype(np.int64)
-        k1 = np.minimum(k1, float(n_samp + 1)).astype(np.int64)
-        width = int(np.max(np.where(valid, k1 - k0, 0), initial=0))
-        for off in range(width):
-            k = k0 + off
-            m = valid & (k < k1)
-            F[rows[m], k[m] - 1] += amps[m, j]
+    # The pair arrays die with this call; with no pairs bincount is int64.
+    F = np.bincount(*_pulse_cells(times, counts, amps, n_samp, T, tau),
+                    minlength=len(times) * n_samp)
+    F = F.astype(float, copy=False).reshape(-1, n_samp)
     if noise.size:
         F += noise
     bits = F >= xi
-    edges = bits[:, 0].astype(np.int64)
-    if n_samp > 1:
-        edges += (bits[:, 1:] & ~bits[:, :-1]).sum(axis=1)
-    return edges
+    return bits[:, 0] + (bits[:, 1:] & ~bits[:, :-1]).sum(axis=1)

@@ -24,7 +24,7 @@ from .moments import (ApproximationBreakdownError, binomial_approx,
                       fit_binomial, moments_approx_noiseless,
                       moments_exact_noiseless, moments_full, moments_shot)
 from .params import ChannelParams, ReceiverConfig, derive_params
-from .simulate import default_workers, hist_moments, simulate_counts_hist
+from .simulate import hist_moments, simulate_counts_hist
 from .subpoisson import SeriesBreakdownError, invert_moments, subpoisson_pmf
 
 EXIT_OK = 0
@@ -314,7 +314,7 @@ def _build_parser():
             p.add_argument("--trials", type=int, default=None)
             p.add_argument("--seed", type=int, default=1)
             p.add_argument("--workers", type=int, default=None,
-                           help="thread count (default PMTCOUNT_WORKERS or 1)")
+                           help="thread count (default 1)")
 
     p = sub.add_parser("pmf", help="ideal dead-time counting PMF")
     common(p, needs_mc=False)
@@ -365,8 +365,8 @@ def main(argv=None) -> int:
                 raise ValueError("trials must be >= 1")
         elif hasattr(args, "trials"):
             args.trials = 100_000
-        if getattr(args, "workers", None) is None and hasattr(args, "workers"):
-            args.workers = default_workers()
+        if hasattr(args, "workers"):
+            args.workers = 1 if args.workers is None else int(args.workers)
         if getattr(args, "seed", None) is not None:
             args.seed = int(args.seed)
         if getattr(args, "values", None) is not None:

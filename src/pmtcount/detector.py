@@ -126,7 +126,7 @@ def error_prob_analytic(rule: MlRule) -> float:
 
 
 def ber_mc(channel: ChannelParams, cfg: ReceiverConfig, symbols: int,
-           seed: int, workers: int | None = None,
+           seed: int, workers: int = 1,
            rule: MlRule | None = None) -> tuple[float, float]:
     """Monte Carlo bit error rate over i.i.d. equiprobable OOK symbols.
 

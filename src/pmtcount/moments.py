@@ -33,7 +33,8 @@ class CountMoments:
     model matching these moments: tau' = 3T/2 for T > tau, tau + T/2 for
     T <= tau. approx_valid is False when the operating point is outside
     the small-(lambda T, lambda tau) validity region or the approximate
-    variance came out nonpositive.
+    variance came out nonpositive, and in the shot-noise models when xi >= 1:
+    pile-up then decides crossings, not the one-pulse thinning q.
     """
     mean: float
     variance: float
@@ -79,6 +80,10 @@ def _tau_equiv(cfg: ReceiverConfig) -> float:
 
 def _in_validity(lam: float, cfg: ReceiverConfig) -> bool:
     return lam * cfg.tau < 0.5 and lam * cfg.T < 0.5
+
+
+def _thinning_valid(lam: float, cfg: ReceiverConfig) -> bool:
+    return _in_validity(lam, cfg) and cfg.xi < 1.0
 
 
 def moments_exact_noiseless(lam: float, cfg: ReceiverConfig) -> CountMoments:
@@ -156,7 +161,7 @@ def moments_shot(lam: float, cfg: ReceiverConfig) -> CountMoments:
     return CountMoments(mean=mean, variance=var, regime=regime,
                         noise=NoiseModel.SHOT, lambda_equiv=lam_eq,
                         tau_equiv=tau_eq,
-                        approx_valid=_in_validity(lam, cfg) and var > 0.0)
+                        approx_valid=_thinning_valid(lam, cfg) and var > 0.0)
 
 
 def moments_full(lam: float, cfg: ReceiverConfig) -> CountMoments:
@@ -185,23 +190,23 @@ def moments_full(lam: float, cfg: ReceiverConfig) -> CountMoments:
         mean = g * (1.0 - g) / T
         var = mean + (2.0 * T * T - 3.0 * T) * mean * mean
         lam_eq = lam_p * tau / T
-        valid = _in_validity(lam, cfg) and var > 0.0
     else:
         if lam_p * T + p == 0.0:
             # Degenerate: no signal and no thermal crossings.
             return CountMoments(mean=0.0, variance=0.0, regime=regime,
                                 noise=NoiseModel.SHOT_THERMAL,
-                                lambda_equiv=0.0, tau_equiv=tau_eq)
+                                lambda_equiv=0.0, tau_equiv=tau_eq,
+                                approx_valid=_thinning_valid(lam, cfg))
         mean = (math.exp(-lam_p * tau) * (1.0 - p)
                 * (1.0 - math.exp(-lam_p * T) * (1.0 - p)) / T)
         var = (mean * (1.0 + 2.0 * (d.alpha - 1) * p)
                + 2.0 * mean * mean
                * (-(tau + T / 2.0) + p * d.delta / (lam_p * T + p)))
         lam_eq = lam_p
-        valid = _in_validity(lam, cfg) and var > 0.0
     return CountMoments(mean=mean, variance=var, regime=regime,
                         noise=NoiseModel.SHOT_THERMAL, lambda_equiv=lam_eq,
-                        tau_equiv=tau_eq, approx_valid=valid)
+                        tau_equiv=tau_eq,
+                        approx_valid=_thinning_valid(lam, cfg) and var > 0.0)
 
 
 def binomial_approx(moments: CountMoments, derived: DerivedParams) -> BinomialApprox:

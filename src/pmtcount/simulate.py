@@ -8,7 +8,6 @@ release the GIL only inside array operations, so batches overlap partly.
 """
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -22,13 +21,6 @@ BATCH_SIZE = 16384
 # Histogram length covering any reachable count: n_s <= ceil(n_samp / 2) + 1
 # and the ideal receiver records at most floor(1/tau) + 1 pulses.
 _HIST_PAD = 4
-
-
-def default_workers() -> int:
-    env = os.environ.get("PMTCOUNT_WORKERS")
-    if env:
-        return max(1, int(env))
-    return 1
 
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
@@ -134,9 +126,8 @@ def _draw_batch(lam, cfg: ReceiverConfig | None, rng, n):
     return counts, times, amps, noise
 
 
-def _map_batches(worker, n_batches: int, workers: int | None):
+def _map_batches(worker, n_batches: int, workers: int):
     """Run worker(batch_index) for all batches, results in batch order."""
-    workers = workers or default_workers()
     if workers <= 1 or n_batches <= 1:
         return [worker(b) for b in range(n_batches)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -151,6 +142,8 @@ def _counts_hist(lam, cfg, kernel, hist_len, trials, seed, workers):
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
 
     def worker(b):
         n = min(BATCH_SIZE, trials - b * BATCH_SIZE)
@@ -167,7 +160,7 @@ def _counts_hist(lam, cfg, kernel, hist_len, trials, seed, workers):
 
 
 def simulate_counts_hist(lam: float, cfg: ReceiverConfig, trials: int,
-                         seed: int, workers: int | None = None) -> np.ndarray:
+                         seed: int, workers: int = 1) -> np.ndarray:
     """Histogram of recorded pulse counts over `trials` receiver symbols."""
     n_samp = cfg.n_samples
 
@@ -180,7 +173,7 @@ def simulate_counts_hist(lam: float, cfg: ReceiverConfig, trials: int,
 
 
 def ideal_counts_hist(lam: float, tau: float, trials: int, seed: int,
-                      workers: int | None = None) -> np.ndarray:
+                      workers: int = 1) -> np.ndarray:
     """Histogram of dead-time-censored counts for the ideal receiver."""
     if not (0.0 < tau < 1.0):
         raise ValueError("tau must be in (0, 1)")
@@ -208,7 +201,7 @@ def hist_moments(hist: np.ndarray) -> tuple[float, float]:
 
 
 def estimate_moments_mc(lam: float, cfg: ReceiverConfig, trials: int,
-                        seed: int, workers: int | None = None
+                        seed: int, workers: int = 1
                         ) -> tuple[float, float, float]:
     """Monte Carlo mean, variance and standard error of the mean of n_s.
 

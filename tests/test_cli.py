@@ -41,6 +41,16 @@ class TestMomentsCommand:
                                             "approx_noiseless", "shot",
                                             "full"]
 
+    @pytest.mark.parametrize("xi,valid", [("0.8", "1"), ("2.5", "0")])
+    def test_thinning_models_invalid_at_pileup(self, tmp_path, xi, valid):
+        # At xi >= 1 a crossing needs piled-up pulses, which the one-pulse
+        # thinning of the shot and full models does not describe.
+        out = tmp_path / "m.csv"
+        assert main(["moments", "--preset", "fig6", "--xi", xi,
+                     "-o", str(out)]) == EXIT_OK
+        flags = {r[0]: r[-1] for r in _read_csv(out)[1:]}
+        assert flags["shot"] == flags["full"] == valid
+
 
 class TestFitCommand:
     def test_round_trip(self, tmp_path):
@@ -117,6 +127,23 @@ class TestReproducibility:
         assert main(self.BER_ARGS + ["--workers", "4",
                                      "-o", str(out4)]) == EXIT_OK
         assert out1.read_bytes() == out4.read_bytes()
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_nonpositive_workers_rejected(self, workers):
+        assert main(["ber", "--preset", "fig10", "--values", "0.3",
+                     "--trials", "10", "--workers", workers]) == \
+            EXIT_INVALID_CONFIG
+
+    def test_config_file_workers_is_int(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("workers = 2\n")
+        out = tmp_path / "run.csv"
+        assert main(self.BER_ARGS + ["--config", str(cfg),
+                                     "-o", str(out)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "run.csv.manifest.json")
+                              .read_text())
+        assert manifest["params"]["workers"] == 2
+        assert isinstance(manifest["params"]["workers"], int)
 
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "run.csv"

@@ -108,28 +108,41 @@ class TestBatchEngine:
         h4 = ideal_counts_hist(10.0, 0.01, 50_000, seed=7, workers=4)
         assert np.array_equal(h1, h4)
 
-    def test_kernel_paths_agree_bitwise(self):
+    @pytest.mark.parametrize("lam,cfg,dead_tau", [
+        (10.0, ReceiverConfig(T=0.01, tau=0.02, xi=0.3, sigma=0.2,
+                              sigma0=0.02), 0.01),
+        # T > tau: a pulse covers at most one sample.
+        (10.0, ReceiverConfig(T=0.02, tau=0.005, xi=0.3, sigma=0.2,
+                              sigma0=0.02), 0.005),
+        # Noiseless wide pulse: empty noise array, 10-11 samples per pulse.
+        (10.0, ReceiverConfig(T=0.002, tau=0.02, xi=0.3), 0.02),
+        # No arrivals in the whole batch, thermal noise only.
+        (0.0, ReceiverConfig(T=0.01, tau=0.02, xi=0.3, sigma=0.2,
+                             sigma0=0.3), 0.02),
+    ], ids=["fig6_noisy", "T_gt_tau", "noiseless_wide", "no_arrivals"])
+    def test_kernel_paths_agree_bitwise(self, lam, cfg, dead_tau):
         # Every row of a drawn batch must get the count that the
         # single-trial rule gives: samples at kT, covered when
         # t <= kT < t + tau, quantized at xi, rising edges counted.
-        cfg = ReceiverConfig(T=0.01, tau=0.02, xi=0.3, sigma=0.2, sigma0=0.02)
         rng = _batch_rng(seed=11, batch_index=0)
-        counts, times, amps, noise = _draw_batch(10.0, cfg, rng, 4096)
+        counts, times, amps, noise = _draw_batch(lam, cfg, rng, 4096)
         got = _kernels.receiver_counts(
             times, counts, amps, noise, cfg.n_samples, cfg.T, cfg.tau, cfg.xi)
         kT = np.arange(1, cfg.n_samples + 1) * cfg.T
         for i, n in enumerate(counts):
             t = times[i, :n]
             covered = (t <= kT[:, None]) & (kT[:, None] < t + cfg.tau)
-            values = covered @ amps[i, :n] + noise[i]
+            values = covered @ amps[i, :n]
+            if noise.size:
+                values = values + noise[i]
             assert got[i] == count_rising_edges(values >= cfg.xi)
 
         rng = _batch_rng(seed=11, batch_index=1)
-        counts, times, _, _ = _draw_batch(10.0, None, rng, 4096)
-        got = _kernels.dead_time_counts(times, counts, 0.01)
+        counts, times, _, _ = _draw_batch(lam, None, rng, 4096)
+        got = _kernels.dead_time_counts(times, counts, dead_tau)
         for i, n in enumerate(counts):
             t = times[i, :n]
-            assert got[i] == (n > 0) + int((np.diff(t) > 0.01).sum())
+            assert got[i] == (n > 0) + int((np.diff(t) > dead_tau).sum())
 
     def test_batch_matches_single_trial_chain(self):
         # The batch engine and the single-trial API sample the same model;
@@ -165,3 +178,11 @@ class TestBatchEngine:
         cfg = ReceiverConfig(T=0.01, tau=0.01, xi=0.3)
         with pytest.raises(ValueError):
             simulate_counts_hist(10.0, cfg, trials, seed=1)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_rejects_bad_workers(self, workers):
+        cfg = ReceiverConfig(T=0.01, tau=0.01, xi=0.3)
+        with pytest.raises(ValueError):
+            simulate_counts_hist(10.0, cfg, 100, seed=1, workers=workers)
+        with pytest.raises(ValueError):
+            ideal_counts_hist(10.0, 0.01, 100, seed=1, workers=workers)
