@@ -1,8 +1,9 @@
 """Batch experiment harness: analytic/Monte-Carlo sweeps written as CSV.
 
 Every run writes a CSV with a header row (values at 9 significant digits)
-plus a JSON manifest (parameters, seed, version, wall time). Parameter
-precedence: command-line flags > config file > preset. Exit codes:
+plus a JSON manifest (every resolved option, version, wall time). Each
+option takes its value from the first layer that sets it: command-line
+flag > config file > preset > built-in default (``DEFAULTS``). Exit codes:
 0 success, 2 invalid configuration, 3 approximation breakdown at the
 requested operating point, 1 internal error.
 """
@@ -34,6 +35,11 @@ EXIT_BREAKDOWN = 3
 
 _PARAM_KEYS = ("T", "tau", "xi", "sigma", "sigma0", "lambda0", "lambda1")
 
+# Built-in value of each option no flag, config file or preset sets; a
+# config value takes its entry's type (float if none; `values` is a list).
+DEFAULTS = dict(trials=100_000, seed=1, workers=1, sigma=0.0, sigma0=0.0,
+                full_path=False, mc_fitted_rule=False)
+
 # Desk-scale presets mirroring the published sweeps. Trial counts are
 # sized for minutes-scale runs; the listed BER presets use 1e5 symbols
 # per point, the fitting presets 1e5..1e6 trials per point.
@@ -61,7 +67,7 @@ PRESETS = {
                   values=[0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
                   trials=100_000),
     "fig11": dict(command="design", lambda0=1.0, lambda1=12.0, T=0.01,
-                  tau=0.01, xi=0.3, sigma=0.2, sigma0=0.02, trials=100_000),
+                  tau=0.01, xi=0.3, sigma=0.2, sigma0=0.02),
 }
 
 
@@ -92,9 +98,8 @@ def _write_manifest(path, args, wall_time):
         return
     manifest = {
         "command": args.command,
-        "params": {k: getattr(args, k, None) for k in
-                   (*_PARAM_KEYS, "lam", "trials", "seed", "workers",
-                    "sweep", "values", "preset")},
+        "params": {k: v for k, v in vars(args).items()
+                   if k not in ("command", "output")},
         "version": __version__,
         "wall_time_s": wall_time,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -104,7 +109,17 @@ def _write_manifest(path, args, wall_time):
         fh.write("\n")
 
 
-def _read_config_file(path):
+def _parse(key, text):
+    """A config file's `text` for option `key`, as that option's type."""
+    if key == "values":
+        return [float(v) for v in text.split()]
+    num, typ = float(text), type(DEFAULTS.get(key, 0.0))
+    if typ is not float and not num.is_integer():
+        raise ValueError(f"{key} must be an integer, got {text!r}")
+    return typ(num)
+
+
+def _read_config_file(path, params):
     values = {}
     with open(path) as fh:
         for line in fh:
@@ -114,29 +129,28 @@ def _read_config_file(path):
             if "=" not in line:
                 raise ValueError(f"malformed config line: {line!r}")
             key, val = (s.strip() for s in line.split("=", 1))
-            values[key] = float(val)
+            if key not in params:
+                raise ValueError(f"not a parameter of this command: {key!r}")
+            values[key] = _parse(key, val)
     return values
 
 
 def _resolve(args):
-    """Apply preset < config-file < flag precedence in place."""
-    layers = []
-    if args.preset:
-        if args.preset not in PRESETS:
-            raise ValueError(f"unknown preset {args.preset!r}")
-        layers.append(PRESETS[args.preset])
-    if args.config:
-        layers.append(_read_config_file(args.config))
-    for layer in layers:
-        for key, val in layer.items():
-            if key == "command":
-                continue
-            if getattr(args, key, None) is None and hasattr(args, key):
-                setattr(args, key, val)
+    """Fill unset options from the config file, preset, then DEFAULTS;
+    presets are cut to the command's parameters, config keys must be one."""
+    if args.preset and args.preset not in PRESETS:
+        raise ValueError(f"unknown preset {args.preset!r}")
+    params = vars(args).keys() - {"command", "config", "preset", "output",
+                                  "input"}
+    config = _read_config_file(args.config, params) if args.config else {}
+    for layer in (config, PRESETS.get(args.preset, {}), DEFAULTS):
+        for key in params & layer.keys():
+            if getattr(args, key) is None:
+                setattr(args, key, layer[key])
 
 
 def _require(what, params, *keys):
-    missing = [k for k in keys if params.get(k) is None]
+    missing = [k for k in keys if params.get(k) in (None, [])]
     if missing:
         raise ValueError(f"missing {what}: {', '.join(missing)}")
 
@@ -146,7 +160,7 @@ def _receiver(args, **swept) -> ReceiverConfig:
     kw = dict(vars(args), **swept)
     _require("receiver parameters", kw, "T", "tau", "xi")
     return ReceiverConfig(T=kw["T"], tau=kw["tau"], xi=kw["xi"],
-                          sigma=kw["sigma"] or 0.0, sigma0=kw["sigma0"] or 0.0)
+                          sigma=kw["sigma"], sigma0=kw["sigma0"])
 
 
 def _channel(args) -> ChannelParams:
@@ -156,8 +170,8 @@ def _channel(args) -> ChannelParams:
 
 def _mc_moments(args, lam, cfg, seed):
     """Monte Carlo mean and unbiased variance of the recorded count."""
-    hist = simulate_counts_hist(lam, cfg, args.trials, seed, args.workers)
-    return hist_moments(hist)
+    return hist_moments(simulate_counts_hist(lam, cfg, args.trials, seed,
+                                             args.workers))
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +201,10 @@ def _cmd_moments(args):
 
 def _cmd_fit(args):
     with open(args.input) as fh:
-        reader = csv.DictReader(fh)
-        hist = {}
-        for row in reader:
-            hist[int(row["n"])] = float(row["count"])
-    counts = np.zeros(max(hist) + 1)
-    for n, c in hist.items():
-        counts[n] = c
-    total = counts.sum()
-    k = np.arange(counts.size)
-    mean = float(k @ counts / total)
-    var = float((k - mean) ** 2 @ counts / total)
+        rows = list(csv.DictReader(fh))
+    n = np.array([int(r["n"]) for r in rows], dtype=np.int64)
+    count = np.array([float(r["count"]) for r in rows])
+    mean, var = hist_moments(np.bincount(n, weights=count))
     lam_fit, tau_fit = invert_moments(mean, var)
     return (["mean", "variance", "lambda_fit", "tau_fit"],
             [(mean, var, lam_fit, tau_fit)])
@@ -267,10 +274,8 @@ def _cmd_ber(args):
         elif args.sweep:
             swept = {args.sweep: v}
         cfg = _receiver(args, **swept)
-        if args.mc_fitted_rule:
-            rule = _mc_rule(chan, cfg, args)
-        else:
-            rule = build_rule(chan, cfg)
+        rule = (_mc_rule(chan, cfg, args) if args.mc_fitted_rule
+                else build_rule(chan, cfg))
         ber, stderr = ber_mc(chan, cfg, args.trials, args.seed + 2 * i,
                              args.workers, rule=rule)
         analytic = error_prob_analytic(rule)
@@ -312,15 +317,14 @@ def _build_parser():
                        help="single photon arrival rate")
         if needs_mc:
             p.add_argument("--trials", type=int, default=None)
-            p.add_argument("--seed", type=int, default=1)
+            p.add_argument("--seed", type=int, default=None)
             p.add_argument("--workers", type=int, default=None,
                            help="thread count (default 1)")
 
-    p = sub.add_parser("pmf", help="ideal dead-time counting PMF")
-    common(p, needs_mc=False)
-
-    p = sub.add_parser("moments", help="analytic count moments, all models")
-    common(p, needs_mc=False)
+    for name, help_text in (
+            ("pmf", "ideal dead-time counting PMF"),
+            ("moments", "analytic count moments, all models")):
+        common(sub.add_parser(name, help=help_text), needs_mc=False)
 
     p = sub.add_parser("fit", help="fit (lambda', tau') to a count histogram")
     common(p, needs_mc=False)
@@ -340,37 +344,24 @@ def _build_parser():
                        help=f"swept {label}")
 
     p = sub.add_parser("design", help="select (xi*, tau*) by max-min KL")
-    common(p)
-    p.add_argument("--full-path", action="store_true",
+    common(p, needs_mc=False)
+    p.add_argument("--full-path", action="store_true", default=None,
                    help="force the full max-min grid search")
 
     p = sub.add_parser("ber", help="Monte Carlo bit error rate")
     common(p)
     p.add_argument("--sweep", choices=["xi", "tau", "lambda_s"], default=None)
     p.add_argument("--values", type=float, nargs="+", default=None)
-    p.add_argument("--mc-fitted-rule", action="store_true",
+    p.add_argument("--mc-fitted-rule", action="store_true", default=None,
                    help="build the detection rule from MC-fitted moments")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     start = time.monotonic()
     try:
         _resolve(args)
-        if getattr(args, "trials", None) is not None:
-            args.trials = int(args.trials)
-            if args.trials < 1:
-                raise ValueError("trials must be >= 1")
-        elif hasattr(args, "trials"):
-            args.trials = 100_000
-        if hasattr(args, "workers"):
-            args.workers = 1 if args.workers is None else int(args.workers)
-        if getattr(args, "seed", None) is not None:
-            args.seed = int(args.seed)
-        if getattr(args, "values", None) is not None:
-            args.values = [float(v) for v in args.values]
         header, rows = _COMMANDS[args.command](args)
     except (ApproximationBreakdownError, SeriesBreakdownError,
             DegenerateKlError) as exc:

@@ -34,7 +34,9 @@ class CountMoments:
     T <= tau. approx_valid is False when the operating point is outside
     the small-(lambda T, lambda tau) validity region or the approximate
     variance came out nonpositive, and in the shot-noise models when xi >= 1:
-    pile-up then decides crossings, not the one-pulse thinning q.
+    pile-up then decides crossings, not the one-pulse thinning q. The
+    noiseless models count every unit pulse, so they are invalid when
+    xi > 1 (a sample crosses when it reaches xi, so xi = 1 is still valid).
     """
     mean: float
     variance: float
@@ -117,7 +119,8 @@ def moments_exact_noiseless(lam: float, cfg: ReceiverConfig) -> CountMoments:
     var = second - mean * mean
     return CountMoments(mean=mean, variance=var, regime=regime,
                         noise=NoiseModel.NONE, lambda_equiv=lam_eq,
-                        tau_equiv=_tau_equiv(cfg))
+                        tau_equiv=_tau_equiv(cfg),
+                        approx_valid=cfg.xi <= 1.0)
 
 
 def moments_approx_noiseless(lam: float, cfg: ReceiverConfig) -> CountMoments:
@@ -138,7 +141,8 @@ def moments_approx_noiseless(lam: float, cfg: ReceiverConfig) -> CountMoments:
     return CountMoments(mean=mean, variance=var, regime=regime,
                         noise=NoiseModel.NONE, lambda_equiv=lam_eq,
                         tau_equiv=tau_eq,
-                        approx_valid=_in_validity(lam, cfg) and var > 0.0)
+                        approx_valid=(_in_validity(lam, cfg) and var > 0.0
+                                      and cfg.xi <= 1.0))
 
 
 def moments_shot(lam: float, cfg: ReceiverConfig) -> CountMoments:

@@ -80,6 +80,12 @@ class TestFitCommand:
         assert main(["fit", "--input", str(tmp_path / "nope.csv")]) == \
             EXIT_INVALID_CONFIG
 
+    def test_negative_count_index_is_config_error(self, tmp_path):
+        hist_path = tmp_path / "hist.csv"
+        hist_path.write_text("n,count\n-1,5\n0,10\n1,40\n2,20\n")
+        assert main(["fit", "--input", str(hist_path)]) == \
+            EXIT_INVALID_CONFIG
+
 
 class TestConfigLayering:
     def test_flags_override_config_file(self, tmp_path):
@@ -112,6 +118,65 @@ class TestConfigLayering:
     def test_invalid_receiver_rejected(self):
         assert main(["moments", "--lambda", "10", "--T", "0.013",
                      "--tau", "0.02", "--xi", "0.3"]) == EXIT_INVALID_CONFIG
+
+    def test_config_file_overrides_preset(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("lam = 3\n")
+        out = tmp_path / "m.csv"
+        assert main(["moments", "--preset", "fig6", "--config", str(cfg),
+                     "--xi", "0.3", "-o", str(out)]) == EXIT_OK
+        row = dict(zip(*_read_csv(out)[:2]))
+        assert float(row["lambda_equiv"]) == 3.0
+
+    @pytest.mark.parametrize("flags,seed", [([], 5), (["--seed", "7"], 7)])
+    def test_config_file_seed_and_trials(self, tmp_path, flags, seed):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed = 5\ntrials = 300\n")
+        out = tmp_path / "a.csv"
+        assert main(["approx-params", "--preset", "fig6", "--values", "0.3",
+                     "--config", str(cfg), "-o", str(out)] + flags) == EXIT_OK
+        params = json.loads((tmp_path / "a.csv.manifest.json")
+                            .read_text())["params"]
+        assert (params["seed"], params["trials"]) == (seed, 300)
+
+    def test_config_file_values_list(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("values = 0.3 0.5\ntrials = 300\n")
+        out = tmp_path / "a.csv"
+        assert main(["approx-params", "--lambda", "10", "--T", "0.01",
+                     "--tau", "0.02", "--sigma", "0.2", "--sigma0", "0.02",
+                     "--config", str(cfg), "-o", str(out)]) == EXIT_OK
+        assert [r[0] for r in _read_csv(out)[1:]] == ["0.3", "0.5"]
+
+    @pytest.mark.parametrize("line", ["lambda = 3", "lam_typo = 3",
+                                      "output = 3", "trials = 2.5",
+                                      "values ="])
+    def test_bad_config_file_key_or_value(self, tmp_path, line):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["ber", "--preset", "fig10", "--trials", "10",
+                     "--config", str(cfg)]) == EXIT_INVALID_CONFIG
+
+    def test_design_takes_no_mc_options(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["design", "--preset", "fig11", "--workers", "0"])
+        assert exc.value.code == EXIT_INVALID_CONFIG
+        out = tmp_path / "d.csv"
+        assert main(["design", "--preset", "fig11", "-o", str(out)]) == \
+            EXIT_OK
+        params = json.loads((tmp_path / "d.csv.manifest.json")
+                            .read_text())["params"]
+        assert not {"trials", "seed", "workers"} & params.keys()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-sampling", "--preset", "fig3", "--values", "0.01"],
+        ["sweep-noise", "--preset", "fig5", "--values", "0.2"],
+        ["approx-params", "--preset", "fig6", "--values", "0.3"],
+        ["ber", "--preset", "fig10", "--values", "0.3"],
+        ["ber", "--preset", "fig10", "--values", "0.3", "--mc-fitted-rule"],
+    ])
+    def test_zero_trials_rejected(self, argv):
+        assert main(argv + ["--trials", "0"]) == EXIT_INVALID_CONFIG
 
 
 class TestReproducibility:
@@ -153,6 +218,15 @@ class TestReproducibility:
         assert manifest["command"] == "ber"
         assert manifest["params"]["seed"] == 5
         assert "version" in manifest and "wall_time_s" in manifest
+
+    def test_manifest_records_detection_rule(self, tmp_path):
+        out = tmp_path / "run.csv"
+        assert main(["ber", "--preset", "fig10", "--values", "0.3",
+                     "--trials", "2000", "--mc-fitted-rule",
+                     "-o", str(out)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "run.csv.manifest.json")
+                              .read_text())
+        assert manifest["params"]["mc_fitted_rule"] is True
 
     def test_fixed_significant_digits(self, tmp_path):
         out = tmp_path / "run.csv"

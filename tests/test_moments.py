@@ -107,6 +107,17 @@ class TestFull:
         with pytest.raises(ValueError):
             fn(-1.0, cfg)
 
+    @pytest.mark.parametrize("fn", [moments_exact_noiseless,
+                                    moments_approx_noiseless])
+    def test_noiseless_models_invalid_above_unit_threshold(self, fn):
+        # A lone unit pulse reaches xi <= 1 only; above it, crossings
+        # need piled-up pulses, which the noiseless models do not count.
+        def valid(xi):
+            cfg = ReceiverConfig(T=0.01, tau=0.02, xi=xi)
+            return fn(10.0, cfg).approx_valid
+        assert valid(1.0)
+        assert not valid(1.5)
+
 
 class TestBinomialApprox:
     def test_matched_dead_time_collapses_regimes(self):
