@@ -112,9 +112,16 @@ def _write_manifest(path, args, wall_time):
 def _parse(key, text):
     """A config file's `text` for option `key`, as that option's type."""
     if key == "values":
-        return [float(v) for v in text.split()]
-    num, typ = float(text), type(DEFAULTS.get(key, 0.0))
-    if typ is not float and not num.is_integer():
+        values = [float(v) for v in text.split()]
+        if not values:
+            raise ValueError("values needs at least one number")
+        return values
+    try:  # exact for integers of any size; 1e5 still reads as 100000
+        num = int(text)
+    except ValueError:
+        num = float(text)
+    typ = type(DEFAULTS.get(key, 0.0))
+    if typ is not float and not float(num).is_integer():
         raise ValueError(f"{key} must be an integer, got {text!r}")
     return typ(num)
 
@@ -150,7 +157,7 @@ def _resolve(args):
 
 
 def _require(what, params, *keys):
-    missing = [k for k in keys if params.get(k) in (None, [])]
+    missing = [k for k in keys if params.get(k) is None]
     if missing:
         raise ValueError(f"missing {what}: {', '.join(missing)}")
 
@@ -170,8 +177,8 @@ def _channel(args) -> ChannelParams:
 
 def _mc_moments(args, lam, cfg, seed):
     """Monte Carlo mean and unbiased variance of the recorded count."""
-    return hist_moments(simulate_counts_hist(lam, cfg, args.trials, seed,
-                                             args.workers))
+    hist = simulate_counts_hist(lam, cfg, args.trials, seed, args.workers)
+    return hist_moments(hist)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +210,15 @@ def _cmd_fit(args):
     with open(args.input) as fh:
         rows = list(csv.DictReader(fh))
     n = np.array([int(r["n"]) for r in rows], dtype=np.int64)
-    count = np.array([float(r["count"]) for r in rows])
-    mean, var = hist_moments(np.bincount(n, weights=count))
+    hist = np.bincount(n, weights=[float(r["count"]) for r in rows])
+    # Counts may be weights (any scale), so use the population moments,
+    # which are scale-invariant; hist_moments' n/(n-1) needs integer counts.
+    total = hist.sum()
+    if not total > 0:
+        raise ValueError("empty histogram")
+    k = np.arange(hist.size)
+    mean = float(k @ hist / total)
+    var = float((k - mean) ** 2 @ hist / total)
     lam_fit, tau_fit = invert_moments(mean, var)
     return (["mean", "variance", "lambda_fit", "tau_fit"],
             [(mean, var, lam_fit, tau_fit)])
@@ -274,8 +288,10 @@ def _cmd_ber(args):
         elif args.sweep:
             swept = {args.sweep: v}
         cfg = _receiver(args, **swept)
-        rule = (_mc_rule(chan, cfg, args) if args.mc_fitted_rule
-                else build_rule(chan, cfg))
+        if args.mc_fitted_rule:
+            rule = _mc_rule(chan, cfg, args)
+        else:
+            rule = build_rule(chan, cfg)
         ber, stderr = ber_mc(chan, cfg, args.trials, args.seed + 2 * i,
                              args.workers, rule=rule)
         analytic = error_prob_analytic(rule)
@@ -321,10 +337,11 @@ def _build_parser():
             p.add_argument("--workers", type=int, default=None,
                            help="thread count (default 1)")
 
-    for name, help_text in (
-            ("pmf", "ideal dead-time counting PMF"),
-            ("moments", "analytic count moments, all models")):
-        common(sub.add_parser(name, help=help_text), needs_mc=False)
+    p = sub.add_parser("pmf", help="ideal dead-time counting PMF")
+    common(p, needs_mc=False)
+
+    p = sub.add_parser("moments", help="analytic count moments, all models")
+    common(p, needs_mc=False)
 
     p = sub.add_parser("fit", help="fit (lambda', tau') to a count histogram")
     common(p, needs_mc=False)
@@ -358,7 +375,8 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     start = time.monotonic()
     try:
         _resolve(args)

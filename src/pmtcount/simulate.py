@@ -186,13 +186,13 @@ def ideal_counts_hist(lam: float, tau: float, trials: int, seed: int,
 
 
 def hist_moments(hist: np.ndarray) -> tuple[float, float]:
-    """Sample mean and (unbiased) variance of a count (or weight) histogram."""
-    n = hist.sum().item()
+    """Sample mean and (unbiased) variance of a count histogram."""
+    n = int(hist.sum())
     if n < 1:
         raise ValueError("empty histogram")
     k = np.arange(hist.size, dtype=np.int64)
-    s1 = (k @ hist).item()
-    s2 = ((k * k) @ hist).item()
+    s1 = int(k @ hist)
+    s2 = int((k * k) @ hist)
     mean = s1 / n
     if n == 1:
         return mean, 0.0

@@ -80,6 +80,23 @@ class TestFitCommand:
         assert main(["fit", "--input", str(tmp_path / "nope.csv")]) == \
             EXIT_INVALID_CONFIG
 
+    def test_fit_does_not_depend_on_count_scale(self, tmp_path):
+        # Counts are weights: 0.2/0.5/0.3 sums to 1 and must fit like
+        # its multiples (mean 1.1, population variance 0.49).
+        fits = []
+        for scale in (0.5, 1.0, 2.0):
+            hist_path = tmp_path / "hist.csv"
+            hist_path.write_text("n,count\n" + "".join(
+                f"{n},{c * scale}\n" for n, c in enumerate((0.2, 0.5, 0.3))))
+            out = tmp_path / "fit.csv"
+            assert main(["fit", "--input", str(hist_path),
+                         "-o", str(out)]) == EXIT_OK
+            row = dict(zip(*_read_csv(out)))
+            assert float(row["variance"]) == pytest.approx(0.49)
+            fits.append((float(row["lambda_fit"]), float(row["tau_fit"])))
+        assert fits[0] == pytest.approx(fits[1])
+        assert fits[2] == pytest.approx(fits[1])
+
     def test_negative_count_index_is_config_error(self, tmp_path):
         hist_path = tmp_path / "hist.csv"
         hist_path.write_text("n,count\n-1,5\n0,10\n1,40\n2,20\n")
@@ -138,6 +155,16 @@ class TestConfigLayering:
         params = json.loads((tmp_path / "a.csv.manifest.json")
                             .read_text())["params"]
         assert (params["seed"], params["trials"]) == (seed, 300)
+
+    def test_large_config_seed_is_exact(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed = 9007199254740993\ntrials = 300\n")
+        out = tmp_path / "a.csv"
+        assert main(["approx-params", "--preset", "fig6", "--values", "0.3",
+                     "--config", str(cfg), "-o", str(out)]) == EXIT_OK
+        params = json.loads((tmp_path / "a.csv.manifest.json")
+                            .read_text())["params"]
+        assert params["seed"] == 2 ** 53 + 1
 
     def test_config_file_values_list(self, tmp_path):
         cfg = tmp_path / "c.cfg"
