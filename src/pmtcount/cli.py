@@ -277,8 +277,8 @@ def _cmd_design(args):
 
 def _cmd_ber(args):
     channel = _channel(args)
-    if args.sweep:
-        _require("parameters", vars(args), "values")
+    if args.sweep or args.values is not None:
+        _require("parameters", vars(args), "sweep", "values")
     rows = []
     for i, v in enumerate(args.values if args.sweep else [None]):
         chan, swept = channel, {}

@@ -18,7 +18,7 @@ from .params import ReceiverConfig
 
 BATCH_SIZE = 16384
 
-# Histogram length covering any reachable count: n_s <= ceil(n_samp / 2) + 1
+# Histogram slack past the largest reachable counts: n_s <= ceil(n_samp / 2),
 # and the ideal receiver records at most floor(1/tau) + 1 pulses.
 _HIST_PAD = 4
 
@@ -103,27 +103,26 @@ def simulate_symbol(lam: float, cfg: ReceiverConfig,
 # batch engine
 
 def _draw_batch(lam, cfg: ReceiverConfig | None, rng, n):
-    """Draw all randomness for one batch. lam may be scalar or (n,) array.
+    """Draw all randomness for n trials in the ragged layout of `_kernels`
+    (row, times, amps, noise). lam may be scalar or (n,) array.
 
     Draw order is fixed (counts, epochs, amplitudes, noise) so a batch is
     fully determined by its SeedSequence.
     """
-    counts = rng.poisson(lam, n)
-    max_count = max(int(counts.max()), 1)
-    times = rng.random((n, max_count))
-    times[np.arange(max_count)[None, :] >= counts[:, None]] = np.inf
-    times.sort(axis=1)
+    row = np.repeat(np.arange(n), rng.poisson(lam, n))
+    times = rng.random(row.size)
+    times = times[np.argsort(row + times, kind="stable")]
     if cfg is None:
-        return counts, times, None, None
+        return row, times, None, None
     if cfg.sigma > 0.0:
-        amps = rng.normal(1.0, cfg.sigma, (n, max_count))
+        amps = rng.normal(1.0, cfg.sigma, row.size)
     else:
-        amps = np.ones((n, max_count))
+        amps = np.ones(row.size)
     if cfg.sigma0 > 0.0:
         noise = rng.normal(0.0, cfg.sigma0, (n, cfg.n_samples))
     else:
         noise = np.empty((0, 0))
-    return counts, times, amps, noise
+    return row, times, amps, noise
 
 
 def _map_batches(worker, n_batches: int, workers: int):
@@ -135,10 +134,10 @@ def _map_batches(worker, n_batches: int, workers: int):
 
 
 def _counts_hist(lam, cfg, kernel, hist_len, trials, seed, workers):
-    """Histogram of kernel(counts, times, amps, noise) over `trials` symbols.
+    """Histogram of kernel(n, row, times, amps, noise) over `trials` symbols.
 
     Batch b is drawn from _batch_rng(seed, b); the per-batch bincounts are
-    summed in batch order, growing the histogram if a count overflows it.
+    summed in batch order. hist_len must exceed every reachable count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -148,14 +147,12 @@ def _counts_hist(lam, cfg, kernel, hist_len, trials, seed, workers):
     def worker(b):
         n = min(BATCH_SIZE, trials - b * BATCH_SIZE)
         batch = _draw_batch(lam, cfg, _batch_rng(seed, b), n)
-        return np.bincount(kernel(*batch), minlength=hist_len)
+        return np.bincount(kernel(n, *batch), minlength=hist_len)
 
     n_batches = (trials + BATCH_SIZE - 1) // BATCH_SIZE
     hist = np.zeros(hist_len, dtype=np.int64)
     for h in _map_batches(worker, n_batches, workers):
-        if h.size > hist.size:
-            hist = np.pad(hist, (0, h.size - hist.size))
-        hist[:h.size] += h
+        hist += h
     return hist
 
 
@@ -164,8 +161,8 @@ def simulate_counts_hist(lam: float, cfg: ReceiverConfig, trials: int,
     """Histogram of recorded pulse counts over `trials` receiver symbols."""
     n_samp = cfg.n_samples
 
-    def kernel(counts, times, amps, noise):
-        return _kernels.receiver_counts(times, counts, amps, noise,
+    def kernel(n, row, times, amps, noise):
+        return _kernels.receiver_counts(n, row, times, amps, noise,
                                         n_samp, cfg.T, cfg.tau, cfg.xi)
 
     return _counts_hist(lam, cfg, kernel, n_samp // 2 + 1 + _HIST_PAD,
@@ -178,8 +175,8 @@ def ideal_counts_hist(lam: float, tau: float, trials: int, seed: int,
     if not (0.0 < tau < 1.0):
         raise ValueError("tau must be in (0, 1)")
 
-    def kernel(counts, times, amps, noise):
-        return _kernels.dead_time_counts(times, counts, tau)
+    def kernel(n, row, times, amps, noise):
+        return _kernels.dead_time_counts(n, row, times, tau)
 
     return _counts_hist(lam, None, kernel, int(1.0 / tau) + 2 + _HIST_PAD,
                         trials, seed, workers)

@@ -14,6 +14,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammaln
 
+from .moments import ApproximationBreakdownError
+
 # Beyond this the alternating series loses digits faster than exact
 # summation recovers; moments stay closed-form for all inputs.
 MAX_LAMBDA_TAU = 0.5
@@ -121,14 +123,15 @@ def invert_moments(mean: float, variance: float) -> tuple[float, float]:
 
     so tau' comes from the variance equation in closed form and lambda'
     from 1-D root finding on the smaller branch (lambda' tau' < 1).
-    Rejects super-Poisson input (variance > mean).
+    Raises ApproximationBreakdownError if no (lambda', tau') matches:
+    mean or variance <= 0, variance > mean (super-Poisson), or no root.
     """
     if mean <= 0.0:
-        raise ValueError("mean must be positive")
+        raise ApproximationBreakdownError("mean must be positive")
     if variance <= 0.0:
-        raise ValueError("variance must be positive")
+        raise ApproximationBreakdownError("variance must be positive")
     if variance > mean * (1.0 + 1e-12):
-        raise ValueError(
+        raise ApproximationBreakdownError(
             f"variance {variance} exceeds mean {mean}: super-Poisson input, "
             "dead-time model does not apply")
 
@@ -144,7 +147,7 @@ def invert_moments(mean: float, variance: float) -> tuple[float, float]:
         # mean*e*tau' > 1: extend toward the peak of lam e^{-lam tau'}.
         hi = 1.0 / tau_eq
         if f(hi) < 0.0:
-            raise ValueError(
+            raise ApproximationBreakdownError(
                 f"no lambda' with lambda'*tau' <= 1 reproduces mean={mean} "
                 f"at tau'={tau_eq}")
     lam_eq = brentq(f, lo, hi, xtol=1e-10, rtol=8.9e-16)

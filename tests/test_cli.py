@@ -3,14 +3,25 @@ import csv
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from pmtcount import cli
 from pmtcount.cli import (EXIT_BREAKDOWN, EXIT_INVALID_CONFIG, EXIT_OK, main)
 
 
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def _sub_poisson_hist(lam, cfg, trials, seed, workers=1):
+    """Stand-in MC histogram, independent of the random stream: the first
+    ceil(trials / 2) trials count round(lam), the rest one more, so
+    0 < variance < mean."""
+    hist = np.zeros(round(lam) + 2, dtype=np.int64)
+    hist[-2:] = trials - trials // 2, trials // 2
+    return hist
 
 
 class TestPmfCommand:
@@ -246,7 +257,8 @@ class TestReproducibility:
         assert manifest["params"]["seed"] == 5
         assert "version" in manifest and "wall_time_s" in manifest
 
-    def test_manifest_records_detection_rule(self, tmp_path):
+    def test_manifest_records_detection_rule(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "simulate_counts_hist", _sub_poisson_hist)
         out = tmp_path / "run.csv"
         assert main(["ber", "--preset", "fig10", "--values", "0.3",
                      "--trials", "2000", "--mc-fitted-rule",
@@ -269,32 +281,36 @@ class TestSweepOutputs:
     CASES = [
         (["sweep-sampling", "--preset", "fig3", "--values", "0.02", "0.005",
           "--seed", "3"],
-         "571f31e4a42dba665db6454ca1d31fd26ebb381cbe55b5a0ed7b324cf78c30ff"),
+         "657042cd46aeed12d294e8c5b188f94a79c8eda4320f8417708161756793818e"),
         (["sweep-noise", "--preset", "fig5", "--values", "0.1", "0.3",
           "--seed", "4"],
-         "eeb05ca68167d523d2ea206cbf6157f7614e6ff9ceebf841f5d85622a98aa341"),
+         "35e005a2a4d7cfa2022021f07a338d3e39960878ab59d231788d1cad262e80c6"),
         (["approx-params", "--preset", "fig6", "--values", "0.2", "0.8",
           "--seed", "5"],
-         "a425b1b2469b454f1ace47b7087689c2034630161610ff272176828283e8dd5a"),
+         "b356a04a2aca480dcf4800eb2534c76208a30eafc5b5506c32c79e3ef2ed05c0"),
         (["ber", "--preset", "fig10", "--values", "0.2", "0.5",
           "--seed", "6"],
-         "219790ce0e6d6cf10dbf6fcba51d2d65f82df46d9bd8cbd0081e6867dac55a01"),
+         "c52d00b093de5033a0e39ea152fc07151cbab39eee21cabc8093ed798e755055"),
         (["ber", "--preset", "fig9", "--values", "0.01", "0.03",
           "--seed", "7", "--mc-fitted-rule"],
-         "5765db99fcc5648fd1c6456eb732a0fa96dcf1f1b71719f0e0382888ff1992a9"),
+         "4f010d9c7694bbfb9eacd66531a846b95794bfd2a9a405e3305f045eb409ab04"),
     ]
 
-    def test_csv_bytes_pinned(self, tmp_path):
-        for i, (argv, digest) in enumerate(self.CASES):
-            out = tmp_path / f"{i}.csv"
-            assert main(argv + ["--trials", "20000", "-o", str(out)]) == \
-                EXIT_OK
-            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, \
-                argv
+    @pytest.mark.parametrize("argv,digest", CASES,
+                             ids=["fig3", "fig5", "fig6", "fig10", "fig9"])
+    def test_csv_bytes_pinned(self, tmp_path, argv, digest):
+        out = tmp_path / "run.csv"
+        assert main(argv + ["--trials", "20000", "-o", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
-    def test_mc_fitted_rule_needs_no_moment_inversion(self, tmp_path):
-        # Only the binomial fit of the MC moments is used, so a sample
-        # that no (lambda', tau') reproduces still gives a rule.
+    def test_mc_fitted_rule_needs_no_moment_inversion(self, tmp_path,
+                                                       monkeypatch):
+        # Only the binomial fit of the MC moments is used: the rule is
+        # built without ever calling invert_moments.
+        def no_inversion(mean, var):
+            raise AssertionError("invert_moments called")
+        monkeypatch.setattr(cli, "simulate_counts_hist", _sub_poisson_hist)
+        monkeypatch.setattr(cli, "invert_moments", no_inversion)
         assert main(["ber", "--preset", "fig10", "--values", "0.3",
                      "--trials", "3", "--seed", "1", "--mc-fitted-rule",
                      "-o", str(tmp_path / "b.csv")]) == EXIT_OK
@@ -302,6 +318,8 @@ class TestSweepOutputs:
     @pytest.mark.parametrize("argv", [
         ["approx-params", "--preset", "fig6", "--values", "0.5"],
         ["ber", "--preset", "fig10", "--values", "0.3", "--mc-fitted-rule"],
+        ["sweep-sampling", "--preset", "fig3", "--values", "0.01"],
+        ["sweep-noise", "--preset", "fig5", "--values", "0.2"],
     ])
     def test_degenerate_fit_is_breakdown(self, argv):
         # One trial has variance 0: no binomial matches it.
@@ -318,6 +336,8 @@ class TestSweepOutputs:
      "0.01", "--xi", "0.3", "--sweep", "xi"],
     ["pmf", "--tau", "0.01"],
     ["moments", "--T", "0.01", "--tau", "0.02", "--xi", "0.3"],
+    ["ber", "--lambda0", "1", "--lambda1", "12", "--T", "0.01", "--tau",
+     "0.01", "--xi", "0.3", "--values", "0.2", "0.5", "--trials", "10"],
 ])
 def test_incomplete_config_is_config_error(argv):
     assert main(argv) == EXIT_INVALID_CONFIG

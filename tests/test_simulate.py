@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 
 from pmtcount import (ReceiverConfig, count_rising_edges, estimate_moments_mc,
                       gen_arrivals, hist_moments, ideal_counts_hist,
@@ -125,24 +126,24 @@ class TestBatchEngine:
         # single-trial rule gives: samples at kT, covered when
         # t <= kT < t + tau, quantized at xi, rising edges counted.
         rng = _batch_rng(seed=11, batch_index=0)
-        counts, times, amps, noise = _draw_batch(lam, cfg, rng, 4096)
-        got = _kernels.receiver_counts(
-            times, counts, amps, noise, cfg.n_samples, cfg.T, cfg.tau, cfg.xi)
+        row, times, amps, noise = _draw_batch(lam, cfg, rng, 4096)
+        got = _kernels.receiver_counts(4096, row, times, amps, noise,
+                                       cfg.n_samples, cfg.T, cfg.tau, cfg.xi)
         kT = np.arange(1, cfg.n_samples + 1) * cfg.T
-        for i, n in enumerate(counts):
-            t = times[i, :n]
+        for i in range(4096):
+            t = times[row == i]
             covered = (t <= kT[:, None]) & (kT[:, None] < t + cfg.tau)
-            values = covered @ amps[i, :n]
+            values = covered @ amps[row == i]
             if noise.size:
                 values = values + noise[i]
             assert got[i] == count_rising_edges(values >= cfg.xi)
 
         rng = _batch_rng(seed=11, batch_index=1)
-        counts, times, _, _ = _draw_batch(lam, None, rng, 4096)
-        got = _kernels.dead_time_counts(times, counts, dead_tau)
-        for i, n in enumerate(counts):
-            t = times[i, :n]
-            assert got[i] == (n > 0) + int((np.diff(t) > dead_tau).sum())
+        row, times, _, _ = _draw_batch(lam, None, rng, 4096)
+        got = _kernels.dead_time_counts(4096, row, times, dead_tau)
+        for i in range(4096):
+            t = np.sort(times[row == i])
+            assert got[i] == (t.size > 0) + int((np.diff(t) > dead_tau).sum())
 
     def test_batch_matches_single_trial_chain(self):
         # The batch engine and the single-trial API sample the same model;
@@ -154,6 +155,30 @@ class TestBatchEngine:
         mean_b, _, se = estimate_moments_mc(10.0, cfg, 100_000, seed=10)
         se_tot = math.sqrt(single.var() / single.size + se ** 2)
         assert abs(single.mean() - mean_b) < 4.0 * se_tot
+
+    @pytest.mark.parametrize("lam,xi,tau,seed", [
+        (10.0, 0.5, 0.02, 21),  # fig6
+        (1.0, 0.3, 0.01, 23),   # fig10, symbol 0
+        (12.0, 0.3, 0.01, 25),  # fig10, symbol 1
+    ], ids=["fig6", "fig10_lambda0", "fig10_lambda1"])
+    def test_batch_matches_single_trial_distribution(self, lam, xi, tau,
+                                                     seed):
+        # Two-sample chi-square of the count distributions, tail bins
+        # pooled until every expected count is at least 5.
+        cfg = ReceiverConfig(T=0.01, tau=tau, xi=xi, sigma=0.2, sigma0=0.02)
+        rng = np.random.default_rng(seed)
+        single = np.bincount([simulate_symbol(lam, cfg, rng).n_s
+                              for _ in range(20_000)])
+        batch = simulate_counts_hist(lam, cfg, 100_000, seed=seed + 1)
+        table = np.zeros((2, max(single.size, batch.size)))
+        table[0, :single.size] = single
+        table[1, :batch.size] = batch
+        expected = table.sum(0) * table.sum(1).min() / table.sum()
+        ok = np.flatnonzero(expected >= 5.0)
+        lo, hi = ok[0], ok[-1]
+        pooled = np.column_stack([table[:, :lo + 1].sum(1), table[:, lo + 1:hi],
+                                  table[:, hi:].sum(1)])
+        assert chi2_contingency(pooled, correction=False).pvalue > 1e-3
 
     def test_mean_matches_analytic(self):
         cfg = ReceiverConfig(T=0.01, tau=0.01, xi=0.3)
