@@ -1,17 +1,12 @@
 """Hot Monte Carlo kernels of the batch engine: numpy, no Python loops.
 The single-trial chain in `simulate` is their reference.
 
-receiver_counts scatters every (arrival, covered sample) pair, in (trial,
-arrival) order, with one weighted `np.bincount`, which adds sequentially:
-each sample sums its pulses from 0.0 in arrival order, then gets its noise,
-so the sample values are bitwise those of adding one arrival at a time.
-
 Batch layout (ragged, one entry per arrival): row (m,) the trial of each
-arrival, ascending; times (m,) its epoch; amps (m,) its amplitude; noise
-(n, n_samp) thermal noise, or (0, 0) when noiseless. Epochs are sorted
-within each row by a stable argsort of the float key row + time; keys
-closer than their ulp (<= 2^-38 at row 16383) tie and keep their draw
+arrival, ascending; times (m,) its epoch; amps (m,) its amplitude. Epochs
+are sorted within each row by a stable argsort of the float key row + time;
+keys closer than their ulp (<= 2^-38 at row 16383) tie and keep their draw
 order, so rows stay whole and only such close pairs may stay unsorted.
+Thermal noise is drawn later, by a source that receiver_counts calls.
 """
 from __future__ import annotations
 
@@ -28,8 +23,8 @@ def dead_time_counts(n: int, row: np.ndarray, times: np.ndarray,
     return np.bincount(row[recorded], minlength=n)
 
 
-def _pulse_cells(row, times, amps, n_samp, T, tau):
-    """Flat (trial, sample) bin and amplitude of each covered sample."""
+def _covered_cells(row, times, amps, n_samp, T, tau):
+    """Sorted flat (trial, sample) cells that pulses cover, and their sums."""
     k0 = np.maximum(np.ceil(times / T), 1.0).astype(np.int64)
     k1 = np.minimum(np.ceil((times + tau) / T), n_samp + 1.0).astype(np.int64)
     width = np.maximum(k1 - k0, 0)
@@ -37,25 +32,27 @@ def _pulse_cells(row, times, amps, n_samp, T, tau):
     bins = np.repeat(row * n_samp + k0 - 1 - (np.cumsum(width) - width),
                      width)
     bins += np.arange(bins.size)
-    return bins, np.repeat(amps, width)
+    order = np.argsort(bins, kind="stable")
+    new = np.diff(bins[order], prepend=-1) != 0
+    # bincount sums each cell from 0.0 in (trial, arrival) order.
+    pulse = np.repeat(amps, width)[order]
+    return bins[order[new]], np.bincount(np.cumsum(new) - 1, weights=pulse)
 
 
 def receiver_counts(n: int, row: np.ndarray, times: np.ndarray,
-                    amps: np.ndarray, noise: np.ndarray,
-                    n_samp: int, T: float, tau: float,
-                    xi: float) -> np.ndarray:
+                    amps: np.ndarray, noise, n_samp: int, T: float,
+                    tau: float, xi: float) -> np.ndarray:
     """Full receiver chain: held pulses -> sampling -> quantize -> edges.
 
-    Samples sit at t_k = k T for k = 1..n_samp; an arrival at t with
-    amplitude a raises samples with t <= kT < t + tau by a. A pulse count
-    is recorded per 0->1 transition of the quantized stream, with an
-    implicit low state before the symbol.
-    """
-    # The pair arrays die with this call; with no pairs bincount is int64.
-    F = np.bincount(*_pulse_cells(row, times, amps, n_samp, T, tau),
-                    minlength=n * n_samp)
-    F = F.astype(float, copy=False).reshape(n, n_samp)
-    if noise.size:
-        F += noise
-    bits = F >= xi
-    return bits[:, 0] + (bits[:, 1:] & ~bits[:, :-1]).sum(axis=1)
+    Sample k = 1..n_samp of trial i (t_k = k T) is cell i * n_samp + k - 1;
+    an arrival at t with amplitude a raises it by a if t <= kT < t + tau.
+    noise(cells) gives the noise of the sorted covered cells and the
+    uncovered cells that cross xi. Counts are the 0->1 transitions, after
+    an implicit low state before the symbol."""
+    cells, F = _covered_cells(row, times, amps, n_samp, T, tau)
+    cell_noise, crossings = noise(cells)
+    high = np.concatenate([cells[F + cell_noise >= xi], crossings])
+    high.sort(kind="stable")
+    # A high cell starts an edge unless its row's previous cell is high.
+    edge = (high % n_samp == 0) | (np.diff(high, prepend=-1) != 1)
+    return np.bincount(high[edge] // n_samp, minlength=n)

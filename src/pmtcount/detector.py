@@ -145,9 +145,8 @@ def ber_mc(channel: ChannelParams, cfg: ReceiverConfig, symbols: int,
     if n0:
         h0 = simulate_counts_hist(channel.lambda0, cfg, n0, seed, workers)
         errors += int(h0[rule.n_th + 1:].sum())
-    if n1:
-        h1 = simulate_counts_hist(channel.lambda1, cfg, n1, seed + 1, workers)
-        errors += int(h1[:rule.n_th + 1].sum())
+    h1 = simulate_counts_hist(channel.lambda1, cfg, n1, seed + 1, workers)
+    errors += int(h1[:rule.n_th + 1].sum())
     ber = errors / symbols
     std_error = math.sqrt(max(ber * (1.0 - ber), 1.0 / symbols) / symbols)
     return ber, std_error

@@ -1,20 +1,22 @@
 """Event-level Monte Carlo of the receiver chain.
 
-Trials are grouped into fixed-size batches; batch b draws all of its
-randomness from default_rng(SeedSequence(seed, spawn_key=(b,))), and
-reductions are integer histograms accumulated in batch order, so results
-are identical for any worker count. Workers are threads; the numpy kernels
-release the GIL only inside array operations, so batches overlap partly.
+Batch b draws all of its randomness from default_rng(SeedSequence(seed,
+spawn_key=(b,))) in a fixed order: counts, epochs, amplitudes, then, if
+sigma0 > 0, the covered samples' noise and the count and positions of the
+uncovered samples that cross xi. Reductions are integer histograms, so
+results are identical for any worker count. Workers are threads; numpy
+releases the GIL only inside array operations, so batches overlap partly.
 """
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import _kernels
-from .params import ReceiverConfig
+from .params import ReceiverConfig, derive_params
 
 BATCH_SIZE = 16384
 
@@ -104,24 +106,31 @@ def simulate_symbol(lam: float, cfg: ReceiverConfig,
 
 def _draw_batch(lam, cfg: ReceiverConfig | None, rng, n):
     """Draw all randomness for n trials in the ragged layout of `_kernels`
-    (row, times, amps, noise). lam may be scalar or (n,) array.
-
-    Draw order is fixed (counts, epochs, amplitudes, noise) so a batch is
-    fully determined by its SeedSequence.
+    (row, times, amps, noise); lam may be scalar or (n,) array. The kernel
+    calls noise(cells) once, with the sorted covered cells: it draws their
+    Normal(0, sigma0) noise, then a Binomial(#uncovered, p) count of
+    uncovered cells that cross xi, at distinct uniform positions.
     """
     row = np.repeat(np.arange(n), rng.poisson(lam, n))
     times = rng.random(row.size)
     times = times[np.argsort(row + times, kind="stable")]
     if cfg is None:
-        return row, times, None, None
+        return row, times
     if cfg.sigma > 0.0:
         amps = rng.normal(1.0, cfg.sigma, row.size)
     else:
         amps = np.ones(row.size)
-    if cfg.sigma0 > 0.0:
-        noise = rng.normal(0.0, cfg.sigma0, (n, cfg.n_samples))
-    else:
-        noise = np.empty((0, 0))
+
+    def noise(cells):
+        if cfg.sigma0 == 0.0:
+            return 0.0, cells[:0]
+        cell_noise = rng.normal(0.0, cfg.sigma0, cells.size)
+        free = n * cfg.n_samples - cells.size
+        k = rng.binomial(free, derive_params(cfg).p)
+        rank = np.sort(rng.choice(free, k, replace=False, shuffle=False))
+        # Uncovered cell of rank r: r plus the covered cells before it.
+        skip = np.searchsorted(cells - np.arange(cells.size), rank, "right")
+        return cell_noise, rank + skip
     return row, times, amps, noise
 
 
@@ -134,10 +143,10 @@ def _map_batches(worker, n_batches: int, workers: int):
 
 
 def _counts_hist(lam, cfg, kernel, hist_len, trials, seed, workers):
-    """Histogram of kernel(n, row, times, amps, noise) over `trials` symbols.
+    """Histogram of kernel(n, *batch) over `trials` symbols.
 
     Batch b is drawn from _batch_rng(seed, b); the per-batch bincounts are
-    summed in batch order. hist_len must exceed every reachable count.
+    summed exactly. hist_len must exceed every reachable count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -150,22 +159,15 @@ def _counts_hist(lam, cfg, kernel, hist_len, trials, seed, workers):
         return np.bincount(kernel(n, *batch), minlength=hist_len)
 
     n_batches = (trials + BATCH_SIZE - 1) // BATCH_SIZE
-    hist = np.zeros(hist_len, dtype=np.int64)
-    for h in _map_batches(worker, n_batches, workers):
-        hist += h
-    return hist
+    return np.sum(_map_batches(worker, n_batches, workers), axis=0)
 
 
 def simulate_counts_hist(lam: float, cfg: ReceiverConfig, trials: int,
                          seed: int, workers: int = 1) -> np.ndarray:
     """Histogram of recorded pulse counts over `trials` receiver symbols."""
-    n_samp = cfg.n_samples
-
-    def kernel(n, row, times, amps, noise):
-        return _kernels.receiver_counts(n, row, times, amps, noise,
-                                        n_samp, cfg.T, cfg.tau, cfg.xi)
-
-    return _counts_hist(lam, cfg, kernel, n_samp // 2 + 1 + _HIST_PAD,
+    kernel = partial(_kernels.receiver_counts, n_samp=cfg.n_samples, T=cfg.T,
+                     tau=cfg.tau, xi=cfg.xi)
+    return _counts_hist(lam, cfg, kernel, cfg.n_samples // 2 + 1 + _HIST_PAD,
                         trials, seed, workers)
 
 
@@ -174,12 +176,8 @@ def ideal_counts_hist(lam: float, tau: float, trials: int, seed: int,
     """Histogram of dead-time-censored counts for the ideal receiver."""
     if not (0.0 < tau < 1.0):
         raise ValueError("tau must be in (0, 1)")
-
-    def kernel(n, row, times, amps, noise):
-        return _kernels.dead_time_counts(n, row, times, tau)
-
-    return _counts_hist(lam, None, kernel, int(1.0 / tau) + 2 + _HIST_PAD,
-                        trials, seed, workers)
+    return _counts_hist(lam, None, partial(_kernels.dead_time_counts, tau=tau),
+                        int(1.0 / tau) + 2 + _HIST_PAD, trials, seed, workers)
 
 
 def hist_moments(hist: np.ndarray) -> tuple[float, float]:

@@ -287,13 +287,13 @@ class TestSweepOutputs:
          "35e005a2a4d7cfa2022021f07a338d3e39960878ab59d231788d1cad262e80c6"),
         (["approx-params", "--preset", "fig6", "--values", "0.2", "0.8",
           "--seed", "5"],
-         "b356a04a2aca480dcf4800eb2534c76208a30eafc5b5506c32c79e3ef2ed05c0"),
+         "3647b80ba808926b0b53d0903301a0f6908b2355c2f695542df157e387d49b6e"),
         (["ber", "--preset", "fig10", "--values", "0.2", "0.5",
           "--seed", "6"],
-         "c52d00b093de5033a0e39ea152fc07151cbab39eee21cabc8093ed798e755055"),
+         "e9292b24052821bd3e6b4e5f3cc4d85e02fb1e9fad232f3893044b2468885ffe"),
         (["ber", "--preset", "fig9", "--values", "0.01", "0.03",
           "--seed", "7", "--mc-fitted-rule"],
-         "4f010d9c7694bbfb9eacd66531a846b95794bfd2a9a405e3305f045eb409ab04"),
+         "6f044ad642184f5b811ca7db3d064975f1dc65ce7b07b1e4421524b38e209110"),
     ]
 
     @pytest.mark.parametrize("argv,digest", CASES,

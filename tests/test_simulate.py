@@ -1,14 +1,15 @@
 """Event-level Monte Carlo engine: single-trial chain and batch reductions."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from pmtcount import (ReceiverConfig, count_rising_edges, estimate_moments_mc,
-                      gen_arrivals, hist_moments, ideal_counts_hist,
-                      moments_exact_noiseless, simulate_counts_hist,
-                      simulate_symbol, synth_samples)
+from pmtcount import (ReceiverConfig, count_rising_edges, derive_params,
+                      estimate_moments_mc, gen_arrivals, hist_moments,
+                      ideal_counts_hist, moments_exact_noiseless,
+                      simulate_counts_hist, simulate_symbol, synth_samples)
 from pmtcount import _kernels
 from pmtcount.simulate import _batch_rng, _draw_batch
 
@@ -124,22 +125,39 @@ class TestBatchEngine:
     def test_kernel_paths_agree_bitwise(self, lam, cfg, dead_tau):
         # Every row of a drawn batch must get the count that the
         # single-trial rule gives: samples at kT, covered when
-        # t <= kT < t + tau, quantized at xi, rising edges counted.
+        # t <= kT < t + tau, plus the noise the kernel drew, quantized at
+        # xi, rising edges counted. An uncovered sample's noise is +inf if
+        # the kernel made it cross xi and -inf otherwise.
         rng = _batch_rng(seed=11, batch_index=0)
         row, times, amps, noise = _draw_batch(lam, cfg, rng, 4096)
-        got = _kernels.receiver_counts(4096, row, times, amps, noise,
-                                       cfg.n_samples, cfg.T, cfg.tau, cfg.xi)
-        kT = np.arange(1, cfg.n_samples + 1) * cfg.T
+        drawn = []
+
+        def recorded(cells):
+            drawn.append((cells, *noise(cells)))
+            return drawn[-1][1:]
+        n_samp = cfg.n_samples
+        got = _kernels.receiver_counts(4096, row, times, amps, recorded,
+                                       n_samp, cfg.T, cfg.tau, cfg.xi)
+        [(cells, cell_noise, crossings)] = drawn
+        assert np.unique(crossings).size == crossings.size
+        assert not np.isin(crossings, cells).any()
+        flat = np.full(4096 * n_samp, -np.inf)
+        flat[crossings] = np.inf
+        flat[cells] = cell_noise
+        kT = np.arange(1, n_samp + 1) * cfg.T
         for i in range(4096):
             t = times[row == i]
             covered = (t <= kT[:, None]) & (kT[:, None] < t + cfg.tau)
-            values = covered @ amps[row == i]
-            if noise.size:
-                values = values + noise[i]
+            # Noise was drawn for exactly the covered samples of the row.
+            lo, hi = np.searchsorted(cells, [i * n_samp, (i + 1) * n_samp])
+            assert np.array_equal(cells[lo:hi] - i * n_samp,
+                                  np.flatnonzero(covered.any(axis=1)))
+            values = (covered @ amps[row == i]
+                      + flat[i * n_samp:(i + 1) * n_samp])
             assert got[i] == count_rising_edges(values >= cfg.xi)
 
         rng = _batch_rng(seed=11, batch_index=1)
-        row, times, _, _ = _draw_batch(lam, None, rng, 4096)
+        row, times = _draw_batch(lam, None, rng, 4096)
         got = _kernels.dead_time_counts(4096, row, times, dead_tau)
         for i in range(4096):
             t = np.sort(times[row == i])
@@ -156,16 +174,17 @@ class TestBatchEngine:
         se_tot = math.sqrt(single.var() / single.size + se ** 2)
         assert abs(single.mean() - mean_b) < 4.0 * se_tot
 
-    @pytest.mark.parametrize("lam,xi,tau,seed", [
-        (10.0, 0.5, 0.02, 21),  # fig6
-        (1.0, 0.3, 0.01, 23),   # fig10, symbol 0
-        (12.0, 0.3, 0.01, 25),  # fig10, symbol 1
-    ], ids=["fig6", "fig10_lambda0", "fig10_lambda1"])
+    @pytest.mark.parametrize("lam,xi,tau,sigma0,seed", [
+        (10.0, 0.5, 0.02, 0.02, 21),  # fig6
+        (1.0, 0.3, 0.01, 0.02, 23),   # fig10, symbol 0
+        (12.0, 0.3, 0.01, 0.02, 25),  # fig10, symbol 1
+        (2.0, 0.3, 0.02, 0.3, 27),    # p = Q(1) = 0.159 per noise sample
+    ], ids=["fig6", "fig10_lambda0", "fig10_lambda1", "noise_p0.159"])
     def test_batch_matches_single_trial_distribution(self, lam, xi, tau,
-                                                     seed):
+                                                     sigma0, seed):
         # Two-sample chi-square of the count distributions, tail bins
         # pooled until every expected count is at least 5.
-        cfg = ReceiverConfig(T=0.01, tau=tau, xi=xi, sigma=0.2, sigma0=0.02)
+        cfg = ReceiverConfig(T=0.01, tau=tau, xi=xi, sigma=0.2, sigma0=sigma0)
         rng = np.random.default_rng(seed)
         single = np.bincount([simulate_symbol(lam, cfg, rng).n_s
                               for _ in range(20_000)])
@@ -179,6 +198,28 @@ class TestBatchEngine:
         pooled = np.column_stack([table[:, :lo + 1].sum(1), table[:, lo + 1:hi],
                                   table[:, hi:].sum(1)])
         assert chi2_contingency(pooled, correction=False).pvalue > 1e-3
+
+    def test_noise_crossings_mean(self):
+        # No arrivals: each sample crosses xi on noise alone with
+        # probability p, independently, so the mean edge count is
+        # p + (n_samp - 1) p (1 - p).
+        cfg = ReceiverConfig(T=0.01, tau=0.02, xi=0.3, sigma0=0.3)
+        p = derive_params(cfg).p
+        mean, _, se = estimate_moments_mc(0.0, cfg, 50_000, seed=29)
+        exact = p + (cfg.n_samples - 1) * p * (1.0 - p)
+        assert abs(mean - exact) < 4.0 * se
+
+    def test_batch_memory_is_sparse(self):
+        # One 16384-trial fig10 batch at lambda0 = 1; a single dense
+        # (trials, n_samp) float array would take 13 MB.
+        cfg = ReceiverConfig(T=0.01, tau=0.01, xi=0.3, sigma=0.2, sigma0=0.02)
+        tracemalloc.start()
+        try:
+            simulate_counts_hist(1.0, cfg, 16384, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_mean_matches_analytic(self):
         cfg = ReceiverConfig(T=0.01, tau=0.01, xi=0.3)
