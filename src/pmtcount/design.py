@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import binom_pmf_support, build_rule, error_prob_analytic
+from .detector import (binom_pmf_support, build_rule_from_fit,
+                       error_prob_analytic)
 from .moments import (ApproximationBreakdownError, BinomialApprox,
                       binomial_approx, moments_full)
-from .params import ChannelParams, ReceiverConfig, derive_params
+from .params import ChannelParams, ReceiverConfig, derive_params, gaussian_q
 
 # Ceiling on the KL gap D01(tau) - D01(T) under the stated parameter box.
 KL_GAP_CEILING = 0.0102
@@ -50,13 +51,15 @@ def kl_equal_n(b0: BinomialApprox, b1: BinomialApprox) -> tuple[float, float]:
         raise ValueError(f"trial counts differ: {b0.N} vs {b1.N}")
     _check_probs(b0, b1)
     N = b0.N
-    p0, p1 = b0.P, b1.P
+    return _kl_base(N, b0.P, N, b1.P), _kl_base(N, b1.P, N, b0.P)
 
-    def d(pa, pb):
-        return N * (pa * math.log(pa / pb)
-                    + (1.0 - pa) * (math.log1p(-pa) - math.log1p(-pb)))
 
-    return d(p0, p1), d(p1, p0)
+def _kl_base(Na, Pa, Nb, Pb, xp=math):
+    """D(Pa||Pb) without the log-binomial-coefficient expectation, which
+    vanishes when floor(Na) == floor(Nb); xp=np evaluates arrays."""
+    return (Na * Pa * xp.log(Pa / Pb)
+            + Na * (1.0 - Pa) * (xp.log1p(-Pa) - xp.log1p(-Pb))
+            + (Na - Nb) * xp.log1p(-Pb))
 
 
 def _kl_directed(ba: BinomialApprox, bb: BinomialApprox) -> tuple[float, float]:
@@ -68,11 +71,8 @@ def _kl_directed(ba: BinomialApprox, bb: BinomialApprox) -> tuple[float, float]:
     n >= k are excluded and their conditioning mass reported.
     """
     _check_probs(ba, bb)
-    Na, Pa = ba.N, ba.P
-    Nb, Pb = bb.N, bb.P
-    base = (Na * Pa * math.log(Pa / Pb)
-            + Na * (1.0 - Pa) * (math.log1p(-Pa) - math.log1p(-Pb))
-            + (Na - Nb) * math.log1p(-Pb))
+    Na, Nb = ba.N, bb.N
+    base = _kl_base(Na, ba.P, Nb, bb.P)
     lo, hi = (Nb, Na) if Na >= Nb else (Na, Nb)
     ks = np.arange(math.floor(lo) + 1, math.floor(hi) + 1)
     if ks.size == 0:
@@ -115,9 +115,12 @@ def kl_approx_01(b0: BinomialApprox, b1: BinomialApprox) -> float:
                  + N0 P0 [log(P0/P1) - log((1-P0)/(1-P1))].
     """
     _check_probs(b0, b1)
-    log_ratio = math.log1p(-b0.P) - math.log1p(-b1.P)
-    return (b1.N * log_ratio
-            + b0.N * b0.P * (math.log(b0.P / b1.P) - log_ratio))
+    return _kl_approx(b0.N, b0.P, b1.N, b1.P)
+
+
+def _kl_approx(N0, P0, N1, P1, xp=math):
+    log_ratio = xp.log1p(-P0) - xp.log1p(-P1)
+    return N1 * log_ratio + N0 * P0 * (xp.log(P0 / P1) - log_ratio)
 
 
 @dataclass(frozen=True)
@@ -225,6 +228,52 @@ def _approx_pair(channel, cfg):
     return b0, b1
 
 
+@np.errstate(divide="ignore", invalid="ignore")
+def _binomial_grid(lam, cfg, xi, tau):
+    """moments_full -> binomial_approx's (N, P) at broadcast (lam, xi, tau),
+    tau >= T, and a mask that is False where that chain would raise."""
+    T = cfg.T
+    q = (gaussian_q((1.0 - xi) / cfg.sigma) if cfg.sigma > 0.0
+         else np.where(xi < 1.0, 0.0, 1.0))
+    p = gaussian_q(xi / cfg.sigma0) if cfg.sigma0 > 0.0 else 0.0
+    alpha = np.floor(tau / T + 1e-12)
+    delta = np.maximum(tau - alpha * T, 0.0)
+    tau_eq = tau + T / 2.0
+    lam_p = (1.0 - q) * lam
+    mean = (np.exp(-lam_p * tau) * (1.0 - p)
+            * (1.0 - np.exp(-lam_p * T) * (1.0 - p)) / T)
+    c = np.where(p == 0.0, 0.0, p * delta / (tau_eq * (lam_p * T + p))
+                 + (alpha - 1) * p / (mean * tau_eq))
+    N = 1.0 / (2.0 * tau_eq * (1.0 - c))
+    P = 2.0 * tau_eq * mean * (1.0 - c)
+    ok = ((xi > 0.0) & (tau > 0.0) & (tau < 1.0) & (mean > 0.0) & (c < 1.0)
+          & (P > 0.0) & (P < 1.0) & (N > mean))
+    return N, P, ok
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _grid_objective(channel, cfg, xi_grid, taus, fast):
+    """select_params' objective on the (tau, xi) grid, -inf where the
+    scalar chain raises, and the number of such points."""
+    lams = np.array([channel.lambda0, channel.lambda1])[:, None, None]
+    (N0, N1), (P0, P1), ok = _binomial_grid(lams, cfg, xi_grid, taus[:, None])
+    ok = ok.all(axis=0)
+    skipped = int(np.count_nonzero(~ok))
+    vals = np.where(ok, _kl_approx(N0, P0, N1, P1, np) if fast else
+                    np.minimum(_kl_base(N0, P0, N1, P1, np),
+                               _kl_base(N1, P1, N0, P0, np)), -math.inf)
+    if not fast:
+        # Unequal integer parts need the general-N expectation term.
+        for i in zip(*np.nonzero(ok & (np.floor(N0) != np.floor(N1)))):
+            try:
+                vals[i] = min(kl_general_n(BinomialApprox(N0[i], P0[i]),
+                                           BinomialApprox(N1[i], P1[i])))
+            except ApproximationBreakdownError:
+                skipped += 1
+                vals[i] = -math.inf
+    return vals, skipped
+
+
 def default_xi_grid(cfg: ReceiverConfig, points: int = 64) -> np.ndarray:
     """Coarse deterministic xi grid: (max(6 sigma0, 0.05), 1 + 3 sigma)."""
     lo = max(6.0 * cfg.sigma0, 0.05)
@@ -247,7 +296,8 @@ def select_params(channel: ChannelParams, cfg_template: ReceiverConfig,
     maximizing the approximate D(P0||P1), then one golden-section
     refinement pass. Full path: maximize min(D01, D10) from the exact
     general-N KL over the (xi, tau) grid; breakdown points are skipped
-    and counted.
+    and counted. The grid is evaluated in one numpy pass; the scalar chain
+    (the batched pass's oracle) refines and reports the chosen point.
     """
     xi_grid = default_xi_grid(cfg_template) if xi_grid is None \
         else np.asarray(xi_grid, dtype=float)
@@ -256,7 +306,8 @@ def select_params(channel: ChannelParams, cfg_template: ReceiverConfig,
     if xi_grid.size == 0 or tau_grid.size == 0:
         raise ValueError("grids must be nonempty")
     T = cfg_template.T
-    if np.any(np.abs(tau_grid / T - np.round(tau_grid / T)) > 1e-9):
+    k = tau_grid / T
+    if np.any((np.abs(k - np.round(k)) > 1e-9) | ((0.0 < k) & (k < 1.0))):
         raise ValueError("tau grid must contain integer multiples of T")
 
     def cfg_at(xi, tau):
@@ -276,8 +327,6 @@ def select_params(channel: ChannelParams, cfg_template: ReceiverConfig,
     fast = (not force_full and cond_mid.kl_asymmetry
             and cond_mid.holding_time_ok and cond_mid.p_bound)
 
-    skipped = 0
-
     def objective_fast(xi):
         nonlocal skipped
         try:
@@ -287,42 +336,26 @@ def select_params(channel: ChannelParams, cfg_template: ReceiverConfig,
             skipped += 1
             return -math.inf
 
-    def objective_full(xi, tau):
-        nonlocal skipped
-        try:
-            b0, b1 = _approx_pair(channel, cfg_at(xi, tau))
-            d01, d10 = kl_general_n(b0, b1)
-            return min(d01, d10)
-        except (ApproximationBreakdownError, DegenerateKlError, ValueError):
-            skipped += 1
-            return -math.inf
-
+    taus = np.array([T]) if fast else tau_grid
+    vals, skipped = _grid_objective(channel, cfg_template, xi_grid, taus, fast)
+    # First maximum in tau-major order, as a `v > best` scan finds it.
+    vals = np.where(np.isnan(vals), -math.inf, vals).ravel()
+    best = int(np.argmax(vals))
+    if vals[best] == -math.inf:
+        raise ApproximationBreakdownError(
+            "no valid operating point on the (xi, tau) grid")
+    i_tau, i_xi = divmod(best, xi_grid.size)
+    tau_star, xi_star = taus[i_tau], xi_grid[i_xi]
     if fast:
-        tau_star = T
-        vals = np.array([objective_fast(x) for x in xi_grid])
-        best = int(np.argmax(vals))
-        if not np.isfinite(vals[best]):
-            raise ApproximationBreakdownError(
-                "no valid operating point on the xi grid")
-        lo = xi_grid[max(best - 1, 0)]
-        hi = xi_grid[min(best + 1, xi_grid.size - 1)]
+        lo = xi_grid[max(i_xi - 1, 0)]
+        hi = xi_grid[min(i_xi + 1, xi_grid.size - 1)]
         xi_star = _golden_section(objective_fast, lo, hi)
-    else:
-        best_val, xi_star, tau_star = -math.inf, None, None
-        for tau in tau_grid:
-            for xi in xi_grid:
-                v = objective_full(xi, tau)
-                if v > best_val:
-                    best_val, xi_star, tau_star = v, float(xi), float(tau)
-        if xi_star is None:
-            raise ApproximationBreakdownError(
-                "no valid operating point on the (xi, tau) grid")
 
     cfg_star = cfg_at(xi_star, tau_star)
     cond = check_conditions(channel, cfg_star)
     b0, b1 = _approx_pair(channel, cfg_star)
     kl01, kl10 = kl_general_n(b0, b1)
-    ber = error_prob_analytic(build_rule(channel, cfg_star))
+    ber = error_prob_analytic(build_rule_from_fit(b0, b1))
     return DesignResult(xi_star=float(xi_star), tau_star=float(tau_star),
                         kl_01=kl01, kl_10=kl10, conditions=cond,
                         predicted_ber=ber, fast_path=fast,

@@ -230,9 +230,7 @@ def binomial_approx(moments: CountMoments, derived: DerivedParams) -> BinomialAp
     if moments.regime is Regime.T_GT_TAU:
         correction = 0.0
     else:
-        # tau' = alpha*T + delta + T/2 recovers the sampling period.
-        T = (tau_eq - derived.delta) / (derived.alpha + 0.5)
-        p = derived.p
+        T, p = derived.T, derived.p
         lam_p = moments.lambda_equiv
         if p == 0.0:
             correction = 0.0

@@ -109,15 +109,17 @@ class DerivedParams:
     p      probability a noise-only sample exceeds threshold, Q(xi / sigma0).
     alpha  floor(tau / T): whole sampling periods covered by the dead time.
     delta  remainder tau - alpha*T in [0, T).
+    T      the sampling period alpha and delta are counted in.
     """
     q: float
     p: float
     alpha: int
     delta: float
+    T: float
 
 
 def derive_params(cfg: ReceiverConfig) -> DerivedParams:
-    """Compute (q, p, alpha, delta) for a validated receiver config.
+    """Compute (q, p, alpha, delta, T) for a validated receiver config.
 
     Pure and deterministic. The floor for alpha is nudged by 1e-12 so that
     tau equal to an exact multiple of T (the tau* = T operating point)
@@ -135,4 +137,4 @@ def derive_params(cfg: ReceiverConfig) -> DerivedParams:
     delta = cfg.tau - alpha * cfg.T
     if delta < 0.0:
         delta = 0.0
-    return DerivedParams(q=q, p=p, alpha=alpha, delta=delta)
+    return DerivedParams(q=q, p=p, alpha=alpha, delta=delta, T=cfg.T)

@@ -83,14 +83,20 @@ def subpoisson_pmf(lam: float, tau: float) -> SubPoissonDist:
     log_base[avail < 0.0] = -np.inf
 
     lg = gammaln(s + 1.0)
-    # log_terms[n, m] for n + m <= M; signs alternate with m.
-    idx = np.minimum(s[:, None] + s[None, :], M)
+    # Order-s terms (n + m = s) peak at the balanced split, log gamma being
+    # convex; past the last order S whose peak clears -760, exp gives 0.0.
+    peak = log_base - lg[s // 2] - lg[s - s // 2]
+    S = int(np.flatnonzero(peak > -760.0)[-1])
+    s, lg = s[:S + 1], lg[:S + 1]
+    # log_terms[n, m] for n + m <= S; signs alternate with m.
+    idx = np.minimum(s[:, None] + s[None, :], S)
     log_terms = log_base[idx] - lg[:, None] - lg[None, :]
-    log_terms[s[:, None] + s[None, :] > M] = -np.inf
+    log_terms[s[:, None] + s[None, :] > S] = -np.inf
     terms = np.exp(log_terms)
     terms[:, 1::2] *= -1.0
 
-    pmf = np.array([math.fsum(terms[n, :M - n + 1]) for n in range(M + 1)])
+    pmf = np.zeros(M + 1)
+    pmf[:S + 1] = [math.fsum(terms[n, :S - n + 1]) for n in range(S + 1)]
     pmf[(pmf < 0.0) & (pmf >= _NEGATIVE_CLAMP)] = 0.0
     total = math.fsum(pmf)
     if abs(total - 1.0) > _NORMALIZATION_TOL or np.any(pmf < 0.0):

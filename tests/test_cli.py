@@ -275,6 +275,20 @@ class TestReproducibility:
             assert len(digits.split("e")[0]) <= 9
 
 
+class TestDesignOutput:
+    # SHA-256 of the fig11 design CSV from the scalar (xi, tau) grid loop;
+    # the batched grid must write the same bytes.
+    DIGEST = "7f8af74501c72c76c8b2b3c5103e5388d0fe0835c99630d886705a0aa17f5c36"
+
+    @pytest.mark.parametrize("extra", [[], ["--full-path"]],
+                             ids=["default", "full_path"])
+    def test_csv_bytes_pinned(self, tmp_path, extra):
+        out = tmp_path / "design.csv"
+        assert main(["design", "--preset", "fig11", "-o", str(out)]
+                    + extra) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGEST
+
+
 class TestSweepOutputs:
     # SHA-256 of each CSV at --trials 20000; any change to the random
     # stream, the sweep loop or the fits shows up here.

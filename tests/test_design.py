@@ -9,7 +9,9 @@ from pmtcount import (BinomialApprox, ChannelParams, DegenerateKlError,
                       ReceiverConfig, binomial_approx, check_conditions,
                       derive_params, gaussian_q, kl_approx_01, kl_equal_n,
                       kl_gap_bound, kl_general_n, moments_full, select_params)
-from pmtcount.design import KL_GAP_CEILING, default_tau_grid, default_xi_grid
+from pmtcount import design
+from pmtcount.design import (KL_GAP_CEILING, ConditionFlags, DesignResult,
+                             default_tau_grid, default_xi_grid)
 
 # Frozen high-precision reference: equal-N KL distance at N=100,
 # P0=0.01, P1=0.05.
@@ -241,3 +243,199 @@ class TestSelectParams:
         chan = ChannelParams(lambda0=0.3, lambda1=9.3)
         with pytest.raises(ValueError):
             select_params(chan, TEMPLATE, tau_grid=[0.015])
+
+
+# Receivers for the batched-grid oracle: fig11; a T = 0.02 receiver; and
+# sigma0 = 0.1 on a xi grid low enough that thermal crossings leave
+# unequal integer parts of N0 and N1 (the general-N KL) and excluded-mass
+# breakdowns, which the default xi grid never reaches.
+NOISY = ReceiverConfig(T=0.01, tau=0.01, xi=0.3, sigma=0.2, sigma0=0.1)
+NOISY_XI = np.linspace(0.05, 0.6, 23)
+ORACLE_CASES = {
+    "fig11": (TEMPLATE, ChannelParams(1.0, 12.0), None),
+    "T0.02": (ReceiverConfig(T=0.02, tau=0.02, xi=0.3, sigma=0.2,
+                             sigma0=0.02), ChannelParams(0.5, 8.0), None),
+    "noisy_lam0.25": (NOISY, ChannelParams(0.25, 4.0), NOISY_XI),
+    "noisy_lam1": (NOISY, ChannelParams(1.0, 12.0), NOISY_XI),
+}
+
+
+def _scalar_objective(channel, tmpl, xi_grid, tau_grid, fast):
+    """select_params' objective through the scalar chain, point by point,
+    tau-major: -inf where the chain raises. Also returns the number of
+    such points, how many valid points have unequal integer parts of N0
+    and N1, and how many of those fail the excluded-mass check."""
+    vals = np.full((len(tau_grid), len(xi_grid)), -math.inf)
+    skipped = unequal = excluded = 0
+    for i, tau in enumerate(tau_grid):
+        for j, xi in enumerate(xi_grid):
+            try:
+                cfg = ReceiverConfig(T=tmpl.T, tau=float(tau), xi=float(xi),
+                                     sigma=tmpl.sigma, sigma0=tmpl.sigma0)
+                d = derive_params(cfg)
+                b0 = binomial_approx(moments_full(channel.lambda0, cfg), d)
+                b1 = binomial_approx(moments_full(channel.lambda1, cfg), d)
+                if fast:
+                    vals[i, j] = kl_approx_01(b0, b1)
+                    continue
+                unequal += math.floor(b0.N) != math.floor(b1.N)
+                vals[i, j] = min(kl_general_n(b0, b1))
+            except ValueError as e:
+                skipped += 1
+                excluded += "excluded expectation mass" in str(e)
+    return vals, skipped, unequal, excluded
+
+
+def _grids(tmpl, xi_grid, fast):
+    xi = default_xi_grid(tmpl) if xi_grid is None else xi_grid
+    return xi, np.array([tmpl.T]) if fast else default_tau_grid(tmpl)
+
+
+class TestBatchedGrid:
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "full"])
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_grid_matches_scalar_chain(self, case, fast):
+        tmpl, chan, xi_grid = ORACLE_CASES[case]
+        xi, taus = _grids(tmpl, xi_grid, fast)
+        vals, skipped = design._grid_objective(chan, tmpl, xi, taus, fast)
+        ref, ref_skipped, unequal, excluded = _scalar_objective(
+            chan, tmpl, xi, taus, fast)
+        assert skipped == ref_skipped
+        np.testing.assert_array_equal(vals == -math.inf, ref == -math.inf)
+        ok = ref > -math.inf
+        assert ok.any()
+        assert np.all(np.abs(vals[ok] - ref[ok])
+                      <= 1e-12 + 1e-9 * np.abs(ref[ok]))
+        if xi_grid is not None and not fast:
+            assert unequal > 0 and excluded > 0 and skipped > excluded
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_binomials_match_scalar_chain(self, case):
+        tmpl, chan, xi_grid = ORACLE_CASES[case]
+        xi, taus = _grids(tmpl, xi_grid, False)
+        for lam in (chan.lambda0, chan.lambda1):
+            N, P, ok = design._binomial_grid(lam, tmpl, xi, taus[:, None])
+            for (i, j), valid in np.ndenumerate(ok):
+                cfg = ReceiverConfig(T=tmpl.T, tau=float(taus[i]),
+                                     xi=float(xi[j]), sigma=tmpl.sigma,
+                                     sigma0=tmpl.sigma0)
+                try:
+                    b = binomial_approx(moments_full(lam, cfg),
+                                        derive_params(cfg))
+                except ValueError:
+                    assert not valid
+                    continue
+                assert valid
+                assert N[i, j] == pytest.approx(b.N, rel=1e-12)
+                assert P[i, j] == pytest.approx(b.P, rel=1e-12)
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_full_path_picks_scalar_optimum(self, case):
+        # First maximum in tau-major order, as a scan of the scalar chain
+        # finds it, with the same skip count.
+        tmpl, chan, xi_grid = ORACLE_CASES[case]
+        xi, taus = _grids(tmpl, xi_grid, False)
+        ref, ref_skipped, _, _ = _scalar_objective(chan, tmpl, xi, taus,
+                                                   False)
+        i, j = np.unravel_index(np.argmax(ref), ref.shape)
+        result = select_params(chan, tmpl, xi_grid=xi_grid, force_full=True)
+        assert (result.tau_star, result.xi_star) == (taus[i], xi[j])
+        assert result.skipped_points == ref_skipped
+
+    @pytest.mark.parametrize("force_full", [False, True])
+    def test_skipped_points_count_invalid_entries(self, force_full):
+        # xi <= 0 and tau = 1 fail ReceiverConfig; each such point counts.
+        chan = ChannelParams(lambda0=0.25, lambda1=4.0)
+        xi = np.array([-0.1, 0.0, 0.15, 0.3, 0.5])
+        taus = np.array([0.01, 0.02, 1.0])
+        result = select_params(chan, TEMPLATE, xi_grid=xi, tau_grid=taus,
+                               force_full=force_full)
+        assert result.fast_path is not force_full
+        taus = taus[:1] if result.fast_path else taus
+        ref, ref_skipped, _, _ = _scalar_objective(chan, TEMPLATE, xi, taus,
+                                                   result.fast_path)
+        assert ref_skipped == (2 if result.fast_path else 9)
+        assert result.skipped_points == ref_skipped
+
+    def test_rejects_holding_times_below_T(self):
+        # Within the multiple-of-T tolerance, but in the T > tau regime.
+        chan = ChannelParams(lambda0=1.0, lambda1=12.0)
+        with pytest.raises(ValueError):
+            select_params(chan, TEMPLATE, tau_grid=[0.01 * (1.0 - 1e-10)],
+                          force_full=True)
+
+
+# DesignResults pinned from the scalar-grid implementation: the batched
+# grid must reproduce them bit for bit, on the fast path (golden-section
+# refinement) and the full path.
+PINNED_DESIGNS = [
+    (TEMPLATE, (1.0, 12.0), None, False, DesignResult(
+        xi_star=0.14276923076923076, tau_star=0.01, kl_01=8.321934287365902,
+        kl_10=15.630681018035151, conditions=ConditionFlags(
+            kl_asymmetry=False, holding_time_ok=True, p_bound=True,
+            kl_gap_bound=False, kl_asymmetry_margin=-0.5402168239967784,
+            holding_time_margin=0.271813923782314,
+            p_bound_margin=0.0017264608281259359,
+            kl_gap_value=0.055098067178526444),
+        predicted_ber=0.008078509405990256, fast_path=False, separable=True,
+        skipped_points=0)),
+    (TEMPLATE, (0.25, 4.0), None, False, DesignResult(
+        xi_star=0.14276923081898302, tau_star=0.01, kl_01=3.043144970901402,
+        kl_10=6.909310662687034, conditions=ConditionFlags(
+            kl_asymmetry=True, holding_time_ok=True, p_bound=True,
+            kl_gap_bound=True, kl_asymmetry_margin=0.4615676536266453,
+            holding_time_margin=0.25259131315754385,
+            p_bound_margin=6.39962064853889e-05,
+            kl_gap_value=0.0038306987374004437),
+        predicted_ber=0.06104783552912034, fast_path=True, separable=True,
+        skipped_points=0)),
+    (TEMPLATE, (2.0, 24.0), None, True, DesignResult(
+        xi_star=0.14276923076923076, tau_star=0.01, kl_01=15.911646814388522,
+        kl_10=25.61338336727593, conditions=ConditionFlags(
+            kl_asymmetry=False, holding_time_ok=True, p_bound=True,
+            kl_gap_bound=False, kl_asymmetry_margin=-1.8711527082251247,
+            holding_time_margin=0.27248101505956673,
+            p_bound_margin=0.0137285155077364,
+            kl_gap_value=0.20211968291019816),
+        predicted_ber=0.000509056014311711, fast_path=False, separable=True,
+        skipped_points=0)),
+    (ORACLE_CASES["T0.02"][0], (0.1, 2.1), None, False, DesignResult(
+        xi_star=0.14276923081898302, tau_star=0.02, kl_01=1.6891477390783662,
+        kl_10=4.123158324535619, conditions=ConditionFlags(
+            kl_asymmetry=True, holding_time_ok=True, p_bound=True,
+            kl_gap_bound=True, kl_asymmetry_margin=0.7162135982369606,
+            holding_time_margin=0.02496129981331873,
+            p_bound_margin=7.408323494478237e-05,
+            kl_gap_value=0.0012802189204451494),
+        predicted_ber=0.10889078992167067, fast_path=True, separable=True,
+        skipped_points=0)),
+    (NOISY, (1.0, 12.0), NOISY_XI, True, DesignResult(
+        xi_star=0.39999999999999997, tau_star=0.01, kl_01=8.30580492961082,
+        kl_10=15.590459458888594, conditions=ConditionFlags(
+            kl_asymmetry=False, holding_time_ok=True, p_bound=True,
+            kl_gap_bound=False, kl_asymmetry_margin=-0.5418105154748432,
+            holding_time_margin=0.2718249611559034,
+            p_bound_margin=0.0016878602377262686,
+            kl_gap_value=0.05521850033191701),
+        predicted_ber=0.008143405683180345, fast_path=False, separable=True,
+        skipped_points=52)),
+    (NOISY, (0.5, 8.0), None, False, DesignResult(
+        xi_star=0.6153846154182319, tau_star=0.01, kl_01=5.886632770556072,
+        kl_10=12.682229584316907, conditions=ConditionFlags(
+            kl_asymmetry=True, holding_time_ok=True, p_bound=True,
+            kl_gap_bound=False, kl_asymmetry_margin=0.1388085207418297,
+            holding_time_margin=0.25675957760532364,
+            p_bound_margin=0.0004711843135508118,
+            kl_gap_value=0.014158251975517896),
+        predicted_ber=0.01610234327577619, fast_path=True, separable=True,
+        skipped_points=0)),
+]
+
+
+@pytest.mark.parametrize("tmpl,rates,xi_grid,force_full,expected",
+                         PINNED_DESIGNS,
+                         ids=["fig11", "fig11_fast", "fig11_full",
+                              "T0.02_fast", "noisy_full", "noisy_fast"])
+def test_design_result_pinned(tmpl, rates, xi_grid, force_full, expected):
+    assert select_params(ChannelParams(*rates), tmpl, xi_grid=xi_grid,
+                         force_full=force_full) == expected

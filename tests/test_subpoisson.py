@@ -1,4 +1,5 @@
 """Ideal dead-time counting distribution, moments, and moment inversion."""
+import hashlib
 import math
 
 import numpy as np
@@ -95,3 +96,21 @@ class TestInvertMoments:
     def test_rejects_invalid(self, mean, var):
         with pytest.raises(ValueError):
             invert_moments(mean, var)
+
+
+# SHA-256 of the PMF bytes from the series summed over every order up to
+# M: dropping the orders whose terms all underflow to 0.0 moves no bit.
+PMF_DIGESTS = {
+    (0.5, 0.001):
+        "228e6dbac06b8e13847e63dc0a5a5e2517492ff3bda985465982364c3ffe25d1",
+    (10.0, 0.002):
+        "86d3f2c32b701465f2474321c4de491e07695c85eda8992aca199966a1dc1710",
+    (10.0, 0.05):
+        "2d9fd9ccf935a4528ebfe4781c9b7c86bad6c9a346312408e2d4b2859e131c10",
+}
+
+
+@pytest.mark.parametrize("lam,tau", PMF_DIGESTS)
+def test_pmf_bytes_pinned(lam, tau):
+    pmf = subpoisson_pmf(lam, tau).pmf
+    assert hashlib.sha256(pmf.tobytes()).hexdigest() == PMF_DIGESTS[lam, tau]
