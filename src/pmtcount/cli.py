@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 
@@ -214,8 +215,9 @@ def _cmd_fit(args):
     # Counts may be weights (any scale), so use the population moments,
     # which are scale-invariant; hist_moments' n/(n-1) needs integer counts.
     total = hist.sum()
-    if not total > 0:
-        raise ValueError("empty histogram")
+    if not 0.0 < total < math.inf:
+        raise ValueError("counts must be finite with a positive total, "
+                         f"got {total}")
     k = np.arange(hist.size)
     mean = float(k @ hist / total)
     var = float((k - mean) ** 2 @ hist / total)

@@ -28,6 +28,10 @@ EXCLUDED_MASS_TOL = 1e-6
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Size of the default (xi, tau) search grid.
+_XI_POINTS = 64
+_TAU_MULTIPLES = 10
+
 
 class DegenerateKlError(ValueError):
     """Raised for P in {0, 1} exactly (infinite KL distance)."""
@@ -274,16 +278,17 @@ def _grid_objective(channel, cfg, xi_grid, taus, fast):
     return vals, skipped
 
 
-def default_xi_grid(cfg: ReceiverConfig, points: int = 64) -> np.ndarray:
-    """Coarse deterministic xi grid: (max(6 sigma0, 0.05), 1 + 3 sigma)."""
+def default_xi_grid(cfg: ReceiverConfig) -> np.ndarray:
+    """Coarse deterministic grid of _XI_POINTS xi in (max(6 sigma0, 0.05),
+    1 + 3 sigma)."""
     lo = max(6.0 * cfg.sigma0, 0.05)
     hi = 1.0 + 3.0 * cfg.sigma
-    return np.linspace(lo, hi, points + 1, endpoint=False)[1:]
+    return np.linspace(lo, hi, _XI_POINTS + 1, endpoint=False)[1:]
 
 
-def default_tau_grid(cfg: ReceiverConfig, multiples: int = 10) -> np.ndarray:
-    """tau candidates {T, 2T, ..., kT}, capped below the symbol length."""
-    taus = cfg.T * np.arange(1, multiples + 1)
+def default_tau_grid(cfg: ReceiverConfig) -> np.ndarray:
+    """tau candidates {T, 2T, ..., _TAU_MULTIPLES T} below the symbol."""
+    taus = cfg.T * np.arange(1, _TAU_MULTIPLES + 1)
     return taus[taus < 1.0]
 
 

@@ -11,7 +11,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .params import DerivedParams, ReceiverConfig, derive_params
+from .params import (DerivedParams, ReceiverConfig, check_rate,
+                     derive_params)
 
 
 class Regime(enum.Enum):
@@ -70,22 +71,17 @@ class ApproximationBreakdownError(ValueError):
     """Raised when a moment-matched approximation has no valid parameters."""
 
 
-def _regime(cfg: ReceiverConfig) -> Regime:
-    return Regime.T_LE_TAU if cfg.T <= cfg.tau else Regime.T_GT_TAU
-
-
-def _tau_equiv(cfg: ReceiverConfig) -> float:
-    if _regime(cfg) is Regime.T_LE_TAU:
-        return cfg.tau + cfg.T / 2.0
-    return 1.5 * cfg.T
+def _frame(lam: float, cfg: ReceiverConfig) -> tuple[Regime, float]:
+    """cfg's sampling regime and equivalent dead time tau' (tau + T/2 for
+    T <= tau, 3T/2 for T > tau), once lam is checked finite and >= 0."""
+    check_rate(lam)
+    if cfg.T <= cfg.tau:
+        return Regime.T_LE_TAU, cfg.tau + cfg.T / 2.0
+    return Regime.T_GT_TAU, 1.5 * cfg.T
 
 
 def _in_validity(lam: float, cfg: ReceiverConfig) -> bool:
     return lam * cfg.tau < 0.5 and lam * cfg.T < 0.5
-
-
-def _thinning_valid(lam: float, cfg: ReceiverConfig) -> bool:
-    return _in_validity(lam, cfg) and cfg.xi < 1.0
 
 
 def moments_exact_noiseless(lam: float, cfg: ReceiverConfig) -> CountMoments:
@@ -96,17 +92,15 @@ def moments_exact_noiseless(lam: float, cfg: ReceiverConfig) -> CountMoments:
     T <= tau: mean = e^{-lam tau}(1 - e^{-lam T})/T, second moment with the
               alpha/delta correlation terms of adjacent-window counting.
     """
-    if lam < 0.0:
-        raise ValueError("lambda must be nonnegative")
+    regime, tau_eq = _frame(lam, cfg)
     T, tau = cfg.T, cfg.tau
-    d = derive_params(cfg)
-    regime = _regime(cfg)
     if regime is Regime.T_GT_TAU:
         mean = math.exp(-lam * tau) * (1.0 - math.exp(-lam * tau)) / T
         second = mean + mean * mean * (1.0 - 3.0 * T + 2.0 * T * T)
         lam_eq = tau * lam / T
     else:
         mean = math.exp(-lam * tau) * (1.0 - math.exp(-lam * T)) / T
+        d = derive_params(cfg)
         alpha, delta = d.alpha, d.delta
         if lam == 0.0:
             ratio = 0.0
@@ -116,11 +110,21 @@ def moments_exact_noiseless(lam: float, cfg: ReceiverConfig) -> CountMoments:
                    + 2.0 * T * (1.0 - (alpha + 1) * T) * ratio)
         second = mean + mean * mean * bracket
         lam_eq = lam
-    var = second - mean * mean
-    return CountMoments(mean=mean, variance=var, regime=regime,
-                        noise=NoiseModel.NONE, lambda_equiv=lam_eq,
-                        tau_equiv=_tau_equiv(cfg),
-                        approx_valid=cfg.xi <= 1.0)
+    return CountMoments(mean, second - mean * mean, regime, NoiseModel.NONE,
+                        lam_eq, tau_eq, approx_valid=cfg.xi <= 1.0)
+
+
+def _equivalent(lam: float, rate: float, cfg: ReceiverConfig,
+                noise: NoiseModel, xi_ok: bool) -> CountMoments:
+    """The sub-Poisson equivalent model of lam's count at arrival rate
+    `rate`: lambda' = rate tau / T (T > tau) or rate (T <= tau), and
+    mean = lambda' e^{-lambda' tau'}, var = mean - 2 tau' mean^2."""
+    regime, tau_eq = _frame(lam, cfg)
+    lam_eq = rate * cfg.tau / cfg.T if regime is Regime.T_GT_TAU else rate
+    mean = lam_eq * math.exp(-lam_eq * tau_eq)
+    var = mean - 2.0 * tau_eq * mean * mean
+    return CountMoments(mean, var, regime, noise, lam_eq, tau_eq,
+                        _in_validity(lam, cfg) and var > 0.0 and xi_ok)
 
 
 def moments_approx_noiseless(lam: float, cfg: ReceiverConfig) -> CountMoments:
@@ -131,18 +135,7 @@ def moments_approx_noiseless(lam: float, cfg: ReceiverConfig) -> CountMoments:
     In both cases mean = lambda' e^{-lambda' tau'} and
     var = mean - 2 tau' mean^2.
     """
-    if lam < 0.0:
-        raise ValueError("lambda must be nonnegative")
-    regime = _regime(cfg)
-    tau_eq = _tau_equiv(cfg)
-    lam_eq = lam * cfg.tau / cfg.T if regime is Regime.T_GT_TAU else lam
-    mean = lam_eq * math.exp(-lam_eq * tau_eq)
-    var = mean - 2.0 * tau_eq * mean * mean
-    return CountMoments(mean=mean, variance=var, regime=regime,
-                        noise=NoiseModel.NONE, lambda_equiv=lam_eq,
-                        tau_equiv=tau_eq,
-                        approx_valid=(_in_validity(lam, cfg) and var > 0.0
-                                      and cfg.xi <= 1.0))
+    return _equivalent(lam, lam, cfg, NoiseModel.NONE, cfg.xi <= 1.0)
 
 
 def moments_shot(lam: float, cfg: ReceiverConfig) -> CountMoments:
@@ -153,19 +146,8 @@ def moments_shot(lam: float, cfg: ReceiverConfig) -> CountMoments:
     (1-q) lam (T <= tau) or (1-q) lam tau / T (T > tau); the equivalent
     dead time is unchanged.
     """
-    if lam < 0.0:
-        raise ValueError("lambda must be nonnegative")
-    d = derive_params(cfg)
-    regime = _regime(cfg)
-    tau_eq = _tau_equiv(cfg)
-    thinned = (1.0 - d.q) * lam
-    lam_eq = thinned * cfg.tau / cfg.T if regime is Regime.T_GT_TAU else thinned
-    mean = lam_eq * math.exp(-lam_eq * tau_eq)
-    var = mean - 2.0 * tau_eq * mean * mean
-    return CountMoments(mean=mean, variance=var, regime=regime,
-                        noise=NoiseModel.SHOT, lambda_equiv=lam_eq,
-                        tau_equiv=tau_eq,
-                        approx_valid=_thinning_valid(lam, cfg) and var > 0.0)
+    thinned = (1.0 - derive_params(cfg).q) * lam
+    return _equivalent(lam, thinned, cfg, NoiseModel.SHOT, cfg.xi < 1.0)
 
 
 def moments_full(lam: float, cfg: ReceiverConfig) -> CountMoments:
@@ -181,36 +163,29 @@ def moments_full(lam: float, cfg: ReceiverConfig) -> CountMoments:
               var = mean[1 + 2(alpha-1)p]
                     + 2 mean^2 [-(tau + T/2) + p delta/(lam' T + p)].
     """
-    if lam < 0.0:
-        raise ValueError("lambda must be nonnegative")
+    regime, tau_eq = _frame(lam, cfg)
     d = derive_params(cfg)
-    T, tau = cfg.T, cfg.tau
-    regime = _regime(cfg)
-    tau_eq = _tau_equiv(cfg)
+    T, tau, p = cfg.T, cfg.tau, d.p
     lam_p = (1.0 - d.q) * lam
-    p = d.p
+    valid = _in_validity(lam, cfg) and cfg.xi < 1.0
     if regime is Regime.T_GT_TAU:
         g = math.exp(-lam_p * tau) * (1.0 - p)
         mean = g * (1.0 - g) / T
         var = mean + (2.0 * T * T - 3.0 * T) * mean * mean
         lam_eq = lam_p * tau / T
+    elif lam_p * T + p == 0.0:
+        # Degenerate: no signal and no thermal crossings.
+        return CountMoments(0.0, 0.0, regime, NoiseModel.SHOT_THERMAL, 0.0,
+                            tau_eq, valid)
     else:
-        if lam_p * T + p == 0.0:
-            # Degenerate: no signal and no thermal crossings.
-            return CountMoments(mean=0.0, variance=0.0, regime=regime,
-                                noise=NoiseModel.SHOT_THERMAL,
-                                lambda_equiv=0.0, tau_equiv=tau_eq,
-                                approx_valid=_thinning_valid(lam, cfg))
         mean = (math.exp(-lam_p * tau) * (1.0 - p)
                 * (1.0 - math.exp(-lam_p * T) * (1.0 - p)) / T)
         var = (mean * (1.0 + 2.0 * (d.alpha - 1) * p)
                + 2.0 * mean * mean
                * (-(tau + T / 2.0) + p * d.delta / (lam_p * T + p)))
         lam_eq = lam_p
-    return CountMoments(mean=mean, variance=var, regime=regime,
-                        noise=NoiseModel.SHOT_THERMAL, lambda_equiv=lam_eq,
-                        tau_equiv=tau_eq,
-                        approx_valid=_thinning_valid(lam, cfg) and var > 0.0)
+    return CountMoments(mean, var, regime, NoiseModel.SHOT_THERMAL, lam_eq,
+                        tau_eq, valid and var > 0.0)
 
 
 def binomial_approx(moments: CountMoments, derived: DerivedParams) -> BinomialApprox:

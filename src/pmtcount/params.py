@@ -30,6 +30,12 @@ def gaussian_q(x):
     return 0.5 * special.erfc(np.asarray(x, dtype=float) / _SQRT2)
 
 
+def check_rate(lam: float) -> None:
+    """Raise ValueError unless the arrival rate lam is finite and >= 0."""
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lambda={lam} must be finite and nonnegative")
+
+
 def thermal_sigma_from_physical(temperature_k: float, symbol_duration_s: float,
                                 load_resistance_ohm: float) -> float:
     """Normalized thermal-noise std dev from physical receiver parameters.
@@ -37,8 +43,9 @@ def thermal_sigma_from_physical(temperature_k: float, symbol_duration_s: float,
     sigma0^2 = 2 * k_B * T0 * Ts / R, with T0 in kelvin, Ts in seconds and
     R in ohms. Returned value feeds ReceiverConfig.sigma0 directly.
     """
-    if temperature_k <= 0 or symbol_duration_s <= 0 or load_resistance_ohm <= 0:
-        raise ValueError("physical parameters must be positive")
+    if not all(0.0 < v < math.inf for v in (temperature_k, symbol_duration_s,
+                                            load_resistance_ohm)):
+        raise ValueError("physical parameters must be positive and finite")
     return math.sqrt(2.0 * _BOLTZMANN * temperature_k * symbol_duration_s
                      / load_resistance_ohm)
 
@@ -68,10 +75,11 @@ class ReceiverConfig:
             raise ValueError(f"1/T = {n_samp} is not an integer sample count")
         if not (0.0 < self.tau < 1.0):
             raise ValueError(f"holding time tau={self.tau} must be in (0, 1)")
-        if self.xi <= 0.0:
-            raise ValueError(f"threshold xi={self.xi} must be positive")
-        if self.sigma < 0.0 or self.sigma0 < 0.0:
-            raise ValueError("noise std devs must be nonnegative")
+        if not 0.0 < self.xi < math.inf:
+            raise ValueError(f"threshold xi={self.xi} must be positive "
+                             "and finite")
+        if not (0.0 <= self.sigma < math.inf and 0.0 <= self.sigma0 < math.inf):
+            raise ValueError("noise std devs must be nonnegative and finite")
 
     @property
     def n_samples(self) -> int:
@@ -90,10 +98,10 @@ class ChannelParams:
     lambda1: float
 
     def __post_init__(self):
-        if self.lambda0 < 0.0:
-            raise ValueError("lambda0 must be nonnegative")
-        if self.lambda1 <= 0.0 or self.lambda1 < self.lambda0:
-            raise ValueError("need lambda1 >= lambda0 >= 0 and lambda1 > 0")
+        if not (0.0 <= self.lambda0 <= self.lambda1 < math.inf
+                and self.lambda1 > 0.0):
+            raise ValueError("need finite lambda1 >= lambda0 >= 0 and "
+                             "lambda1 > 0")
 
     @property
     def lambda_s(self) -> float:

@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from . import _kernels
-from .params import ReceiverConfig, derive_params
+from .params import ReceiverConfig, check_rate, derive_params
 
 BATCH_SIZE = 16384
 
@@ -55,8 +55,7 @@ class TrialResult:
 
 def gen_arrivals(lam: float, rng: np.random.Generator) -> ArrivalSet:
     """Poisson(lam) arrival count with i.i.d. uniform epochs on [0, 1)."""
-    if lam < 0.0:
-        raise ValueError("lambda must be nonnegative")
+    check_rate(lam)
     n = rng.poisson(lam)
     times = np.sort(rng.random(n))
     return ArrivalSet(times=times)

@@ -11,10 +11,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammaln
+from scipy.special import gammaln, lambertw
 
 from .moments import ApproximationBreakdownError
+from .params import check_rate
 
 # Beyond this the alternating series loses digits faster than exact
 # summation recovers; moments stay closed-form for all inputs.
@@ -58,8 +58,7 @@ def subpoisson_pmf(lam: float, tau: float) -> SubPoissonDist:
     series is rejected (SeriesBreakdownError) if the stabilized sum misses
     unit normalization by more than 1e-4.
     """
-    if lam < 0.0:
-        raise ValueError("lambda must be nonnegative")
+    check_rate(lam)
     if not (0.0 < tau < 1.0):
         raise ValueError("tau must be in (0, 1)")
     if lam * tau > MAX_LAMBDA_TAU:
@@ -68,11 +67,24 @@ def subpoisson_pmf(lam: float, tau: float) -> SubPoissonDist:
             "PMF series unreliable (moments remain available)")
 
     M = int(math.floor(1.0 / tau)) + 1
-    if lam == 0.0:
-        pmf = np.zeros(M + 1)
-        pmf[0] = 1.0
-        return SubPoissonDist(lam=lam, tau=tau, M=M, pmf=pmf)
+    pmf = _series(lam, tau, M)
+    pmf[(pmf < 0.0) & (pmf >= _NEGATIVE_CLAMP)] = 0.0
+    total = math.fsum(pmf)
+    if abs(total - 1.0) > _NORMALIZATION_TOL or np.any(pmf < 0.0):
+        raise SeriesBreakdownError(
+            f"PMF series breakdown at lambda={lam}, tau={tau}: "
+            f"sum={total!r}, min={pmf.min()!r}")
+    return SubPoissonDist(lam=lam, tau=tau, M=M, pmf=pmf)
 
+
+def _series(lam: float, tau: float, M: int) -> np.ndarray:
+    """P(0..M) from the alternating series, each summed exactly from its
+    log-magnitude terms. The O(M^2) term arrays live only in this frame,
+    so a SeriesBreakdownError's traceback does not keep them alive."""
+    pmf = np.zeros(M + 1)
+    if lam == 0.0:
+        pmf[0] = 1.0
+        return pmf
     s = np.arange(M + 1)
     # base[s] = log of [(1-(s-1)tau) lam e^{-lam tau}]^s ; s = 0 gives 1.
     avail = 1.0 - (s - 1) * tau
@@ -95,15 +107,8 @@ def subpoisson_pmf(lam: float, tau: float) -> SubPoissonDist:
     terms = np.exp(log_terms)
     terms[:, 1::2] *= -1.0
 
-    pmf = np.zeros(M + 1)
     pmf[:S + 1] = [math.fsum(terms[n, :S - n + 1]) for n in range(S + 1)]
-    pmf[(pmf < 0.0) & (pmf >= _NEGATIVE_CLAMP)] = 0.0
-    total = math.fsum(pmf)
-    if abs(total - 1.0) > _NORMALIZATION_TOL or np.any(pmf < 0.0):
-        raise SeriesBreakdownError(
-            f"PMF series breakdown at lambda={lam}, tau={tau}: "
-            f"sum={total!r}, min={pmf.min()!r}")
-    return SubPoissonDist(lam=lam, tau=tau, M=M, pmf=pmf)
+    return pmf
 
 
 def subpoisson_moments(lam: float, tau: float) -> tuple[float, float]:
@@ -111,8 +116,7 @@ def subpoisson_moments(lam: float, tau: float) -> tuple[float, float]:
 
     mean = lam e^{-lam tau};  var = mean - [1 - (1-tau)^2] mean^2.
     """
-    if lam < 0.0:
-        raise ValueError("lambda must be nonnegative")
+    check_rate(lam)
     if not (0.0 < tau < 1.0):
         raise ValueError("tau must be in (0, 1)")
     mean = lam * math.exp(-lam * tau)
@@ -123,15 +127,19 @@ def subpoisson_moments(lam: float, tau: float) -> tuple[float, float]:
 def invert_moments(mean: float, variance: float) -> tuple[float, float]:
     """Fit equivalent (lambda', tau') from measured count moments.
 
-    Uses the small-dead-time moment model
+    Inverts the small-dead-time moment model
 
-        mean = lambda' e^{-lambda' tau'},  variance = mean - 2 tau' mean^2,
+        mean = lambda' e^{-lambda' tau'},  variance = mean - 2 tau' mean^2
 
-    so tau' comes from the variance equation in closed form and lambda'
-    from 1-D root finding on the smaller branch (lambda' tau' < 1).
-    Raises ApproximationBreakdownError if no (lambda', tau') matches:
-    mean or variance <= 0, variance > mean (super-Poisson), or no root.
+    in closed form: tau' = (mean - variance) / (2 mean^2), and with
+    x = mean tau', lambda' = -W0(-x) / tau' on the branch lambda' tau' <= 1,
+    where W0 is the principal branch of the Lambert W function. A solution
+    exists iff x <= 1/e. Raises ValueError on a nonfinite input, and
+    ApproximationBreakdownError if no (lambda', tau') matches: mean or
+    variance <= 0, variance > mean (super-Poisson), or x > 1/e.
     """
+    if not (math.isfinite(mean) and math.isfinite(variance)):
+        raise ValueError(f"moments must be finite, got {mean} and {variance}")
     if mean <= 0.0:
         raise ApproximationBreakdownError("mean must be positive")
     if variance <= 0.0:
@@ -144,17 +152,9 @@ def invert_moments(mean: float, variance: float) -> tuple[float, float]:
     tau_eq = (mean - variance) / (2.0 * mean * mean)
     if tau_eq <= 0.0:
         return mean, 0.0  # Poisson limit
-
-    def f(lam):
-        return lam * math.exp(-lam * tau_eq) - mean
-
-    lo, hi = mean, mean * math.e
-    if f(hi) < 0.0:
-        # mean*e*tau' > 1: extend toward the peak of lam e^{-lam tau'}.
-        hi = 1.0 / tau_eq
-        if f(hi) < 0.0:
-            raise ApproximationBreakdownError(
-                f"no lambda' with lambda'*tau' <= 1 reproduces mean={mean} "
-                f"at tau'={tau_eq}")
-    lam_eq = brentq(f, lo, hi, xtol=1e-10, rtol=8.9e-16)
-    return float(lam_eq), float(tau_eq)
+    x = mean * tau_eq
+    if x > math.exp(-1.0):
+        raise ApproximationBreakdownError(
+            f"no lambda' with lambda'*tau' <= 1 reproduces mean={mean} "
+            f"at tau'={tau_eq}: mean*tau' = {x} exceeds 1/e")
+    return float(-lambertw(-x).real / tau_eq), tau_eq

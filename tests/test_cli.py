@@ -355,3 +355,34 @@ class TestSweepOutputs:
 ])
 def test_incomplete_config_is_config_error(argv):
     assert main(argv) == EXIT_INVALID_CONFIG
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--lambda", "10", "--T", "0.01", "--tau", "0.02",
+     "--xi", "nan"],
+    ["moments", "--lambda", "nan", "--T", "0.01", "--tau", "0.02",
+     "--xi", "0.3"],
+    ["pmf", "--lambda", "nan", "--tau", "0.01"],
+    ["ber", "--preset", "fig10", "--values", "0.3", "--trials", "100",
+     "--sigma", "nan"],
+    ["design", "--preset", "fig11", "--lambda0", "nan"],
+    ["design", "--preset", "fig11", "--sigma0", "inf"],
+    ["ber", "--preset", "fig10", "--values", "0.3", "--trials", "100",
+     "--lambda1", "inf"],
+    ["approx-params", "--preset", "fig6", "--values", "nan",
+     "--trials", "100"],
+])
+def test_nonfinite_parameter_is_config_error(argv, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["-o", str(out)]) == EXIT_INVALID_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["inf", "nan", "-inf"])
+def test_nonfinite_fit_count_is_config_error(count, tmp_path):
+    hist_path = tmp_path / "hist.csv"
+    hist_path.write_text(f"n,count\n0,10\n1,{count}\n2,20\n")
+    out = tmp_path / "fit.csv"
+    assert main(["fit", "--input", str(hist_path), "-o", str(out)]) == \
+        EXIT_INVALID_CONFIG
+    assert not out.exists()

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from pmtcount import (ChannelParams, ReceiverConfig, derive_params,
-                      gaussian_q, thermal_sigma_from_physical)
+                      gaussian_q, gen_arrivals, moments_full,
+                      subpoisson_moments, subpoisson_pmf,
+                      thermal_sigma_from_physical)
 
 # Frozen high-precision reference values (computed with an independent
 # arbitrary-precision erfc oracle before the build).
@@ -127,3 +129,24 @@ class TestDeriveParams:
     def test_pure(self):
         cfg = ReceiverConfig(T=0.01, tau=0.02, xi=0.3, sigma=0.2, sigma0=0.02)
         assert derive_params(cfg) == derive_params(cfg)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ReceiverConfig(T=0.01, tau=0.02, xi=math.nan),
+    lambda: ReceiverConfig(T=0.01, tau=0.02, xi=math.inf),
+    lambda: ReceiverConfig(T=0.01, tau=0.02, xi=0.3, sigma=math.nan),
+    lambda: ReceiverConfig(T=0.01, tau=0.02, xi=0.3, sigma0=math.inf),
+    lambda: ChannelParams(0.0, math.inf),
+    lambda: ChannelParams(math.nan, 12.0),
+    lambda: ChannelParams(1.0, math.nan),
+    lambda: subpoisson_pmf(math.nan, 0.01),
+    lambda: subpoisson_moments(math.inf, 0.01),
+    lambda: moments_full(math.nan, ReceiverConfig(T=0.01, tau=0.02, xi=0.3)),
+    lambda: gen_arrivals(math.inf, np.random.default_rng(0)),
+    lambda: thermal_sigma_from_physical(math.inf, 1e-6, 50.0),
+], ids=["xi_nan", "xi_inf", "sigma_nan", "sigma0_inf", "lambda1_inf",
+        "lambda0_nan", "lambda1_nan", "pmf_nan", "subpoisson_moments_inf",
+        "moments_full_nan", "gen_arrivals_inf", "thermal_inf"])
+def test_nonfinite_parameters_rejected(build):
+    with pytest.raises(ValueError):
+        build()

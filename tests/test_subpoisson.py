@@ -1,12 +1,17 @@
 """Ideal dead-time counting distribution, moments, and moment inversion."""
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pmtcount import (SeriesBreakdownError, invert_moments,
-                      subpoisson_moments, subpoisson_pmf)
+import pmtcount
+from pmtcount import (ApproximationBreakdownError, SeriesBreakdownError,
+                      invert_moments, subpoisson_moments, subpoisson_pmf)
 
 # Frozen high-precision reference values at (lambda=10, tau=0.01).
 MEAN_10_001 = 9.048374180359596   # 10 e^{-0.1}
@@ -56,6 +61,19 @@ class TestPmf:
         with pytest.raises(ValueError):
             subpoisson_pmf(lam, tau)
 
+    def test_breakdown_traceback_holds_no_term_matrix(self):
+        # A caller that keeps the error (a benchmark tally, a log record)
+        # must not keep the O(M^2) term arrays alive with it.
+        with pytest.raises(SeriesBreakdownError) as info:
+            subpoisson_pmf(25.0, 0.001)
+        tb = info.value.__traceback__
+        sizes = []
+        while tb is not None:
+            sizes += [v.size for v in tb.tb_frame.f_locals.values()
+                      if isinstance(v, np.ndarray)]
+            tb = tb.tb_next
+        assert max(sizes) <= 1002  # M + 1 at tau = 0.001
+
 
 class TestMoments:
     def test_zero_rate(self):
@@ -96,6 +114,52 @@ class TestInvertMoments:
     def test_rejects_invalid(self, mean, var):
         with pytest.raises(ValueError):
             invert_moments(mean, var)
+
+    @pytest.mark.parametrize("mean,var", [(math.nan, 1.0), (1.0, math.nan),
+                                          (math.inf, 1.0)])
+    def test_rejects_nonfinite(self, mean, var):
+        with pytest.raises(ValueError):
+            invert_moments(mean, var)
+
+    @pytest.mark.parametrize("lam,tau", [
+        (lam, tau) for lam in (1e-3, 0.1, 1.0, 10.0, 100.0, 1e3)
+        for tau in (1e-4, 1e-3, 0.01, 0.1, 0.3) if lam * tau < 1.0])
+    def test_inverse_is_exact(self, lam, tau):
+        _, residual = _round_trip(lam * math.exp(-lam * tau), tau)
+        assert residual <= 1e-14
+
+    @pytest.mark.parametrize("tau", [1e-3, 0.1, 0.3])
+    @pytest.mark.parametrize("gap", [1e-12, 1e-13, 1e-14])
+    def test_inverse_is_exact_next_to_branch_point(self, tau, gap):
+        # mean * tau' = 1/e - gap puts lambda' tau' within 3e-6 of 1, where
+        # lambda' e^{-lambda' tau'} peaks and the two branches meet.
+        lam_tau, residual = _round_trip((math.exp(-1.0) - gap) / tau, tau)
+        assert lam_tau == pytest.approx(1.0, abs=1e-5)
+        assert residual <= 1e-14
+
+    @pytest.mark.parametrize("tau", [1e-3, 0.1, 0.3])
+    def test_no_solution_past_branch_point(self, tau):
+        mean = math.exp(-1.0) * (1.0 + 1e-9) / tau
+        with pytest.raises(ApproximationBreakdownError):
+            invert_moments(mean, mean - 2.0 * tau * mean ** 2)
+
+
+def _round_trip(mean, tau):
+    """lambda' tau' from inverting the model's own moments at (mean, tau),
+    and the relative residual of mean = lambda' e^{-lambda' tau'}."""
+    lam_fit, tau_fit = invert_moments(mean, mean - 2.0 * tau * mean ** 2)
+    fitted_mean = lam_fit * math.exp(-lam_fit * tau_fit)
+    return lam_fit * tau_fit, abs(fitted_mean - mean) / mean
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # No part of pmtcount needs scipy.optimize, and importing it would add
+    # about a third of the package's import time.
+    code = ("import sys, pmtcount; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    src = str(Path(pmtcount.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # SHA-256 of the PMF bytes from the series summed over every order up to
