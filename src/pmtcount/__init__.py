@@ -15,9 +15,9 @@ from .params import (ChannelParams, DerivedParams, ReceiverConfig,
 from .subpoisson import (SeriesBreakdownError, SubPoissonDist, invert_moments,
                          subpoisson_moments, subpoisson_pmf)
 from .moments import (ApproximationBreakdownError, BinomialApprox,
-                      CountMoments, NoiseModel, Regime, binomial_approx,
-                      fit_binomial, moments_approx_noiseless,
-                      moments_exact_noiseless, moments_full, moments_shot)
+                      CountMoments, Regime, binomial_approx, fit_binomial,
+                      moments_approx_noiseless, moments_exact_noiseless,
+                      moments_full, moments_shot)
 from .simulate import (ArrivalSet, SampleStream, TrialResult,
                        count_rising_edges, estimate_moments_mc, gen_arrivals,
                        hist_moments, ideal_counts_hist, simulate_counts_hist,

@@ -19,15 +19,15 @@ import time
 import numpy as np
 
 from . import __version__
-from .design import DegenerateKlError, select_params
+from .design import select_params
 from .detector import (ber_mc, build_rule, build_rule_from_fit,
                        error_prob_analytic)
-from .moments import (ApproximationBreakdownError, binomial_approx,
-                      fit_binomial, moments_approx_noiseless,
+from .moments import (binomial_approx, fit_binomial, moments_approx_noiseless,
                       moments_exact_noiseless, moments_full, moments_shot)
-from .params import ChannelParams, ReceiverConfig, derive_params
+from .params import (ApproximationBreakdownError, ChannelParams,
+                     ReceiverConfig, derive_params)
 from .simulate import hist_moments, simulate_counts_hist
-from .subpoisson import SeriesBreakdownError, invert_moments, subpoisson_pmf
+from .subpoisson import invert_moments, subpoisson_pmf
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -383,8 +383,7 @@ def main(argv=None) -> int:
     try:
         _resolve(args)
         header, rows = _COMMANDS[args.command](args)
-    except (ApproximationBreakdownError, SeriesBreakdownError,
-            DegenerateKlError) as exc:
+    except ApproximationBreakdownError as exc:
         print(f"pmtcount: approximation breakdown: {exc}", file=sys.stderr)
         return EXIT_BREAKDOWN
     except (ValueError, FileNotFoundError, KeyError) as exc:

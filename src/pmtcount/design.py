@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import (binom_pmf_support, build_rule_from_fit,
+from .detector import (_binomial_pair, binom_pmf_support, build_rule,
                        error_prob_analytic)
-from .moments import (ApproximationBreakdownError, BinomialApprox,
-                      binomial_approx, moments_full)
-from .params import ChannelParams, ReceiverConfig, derive_params, gaussian_q
+from .moments import BinomialApprox, binomial_approx, moments_full
+from .params import (ApproximationBreakdownError, ChannelParams,
+                     ReceiverConfig, derive_params, gaussian_q)
 
 # Ceiling on the KL gap D01(tau) - D01(T) under the stated parameter box.
 KL_GAP_CEILING = 0.0102
@@ -33,7 +33,7 @@ _XI_POINTS = 64
 _TAU_MULTIPLES = 10
 
 
-class DegenerateKlError(ValueError):
+class DegenerateKlError(ApproximationBreakdownError):
     """Raised for P in {0, 1} exactly (infinite KL distance)."""
 
 
@@ -197,7 +197,7 @@ def check_conditions(channel: ChannelParams,
         b1 = binomial_approx(m1, d)
         gap = kl_gap_bound(max(lam0p, 1e-300), lam1p, cfg.tau, cfg.T,
                            alpha, b0.P, b1.P, n_hat0)
-    except (ApproximationBreakdownError, ValueError):
+    except ValueError:
         gap = math.inf
 
     return ConditionFlags(
@@ -223,13 +223,6 @@ class DesignResult:
     fast_path: bool
     separable: bool = True
     skipped_points: int = 0
-
-
-def _approx_pair(channel, cfg):
-    d = derive_params(cfg)
-    b0 = binomial_approx(moments_full(channel.lambda0, cfg), d)
-    b1 = binomial_approx(moments_full(channel.lambda1, cfg), d)
-    return b0, b1
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -335,9 +328,8 @@ def select_params(channel: ChannelParams, cfg_template: ReceiverConfig,
     def objective_fast(xi):
         nonlocal skipped
         try:
-            b0, b1 = _approx_pair(channel, cfg_at(xi, T))
-            return kl_approx_01(b0, b1)
-        except (ApproximationBreakdownError, DegenerateKlError, ValueError):
+            return kl_approx_01(*_binomial_pair(channel, cfg_at(xi, T)))
+        except ValueError:
             skipped += 1
             return -math.inf
 
@@ -358,9 +350,9 @@ def select_params(channel: ChannelParams, cfg_template: ReceiverConfig,
 
     cfg_star = cfg_at(xi_star, tau_star)
     cond = check_conditions(channel, cfg_star)
-    b0, b1 = _approx_pair(channel, cfg_star)
-    kl01, kl10 = kl_general_n(b0, b1)
-    ber = error_prob_analytic(build_rule_from_fit(b0, b1))
+    rule = build_rule(channel, cfg_star)
+    kl01, kl10 = kl_general_n(rule.approx0, rule.approx1)
+    ber = error_prob_analytic(rule)
     return DesignResult(xi_star=float(xi_star), tau_star=float(tau_star),
                         kl_01=kl01, kl_10=kl10, conditions=cond,
                         predicted_ber=ber, fast_path=fast,

@@ -94,12 +94,17 @@ def ml_threshold_general(approx0: BinomialApprox,
     return int(below[-1]) if below.size else 0
 
 
+def _binomial_pair(channel: ChannelParams, cfg: ReceiverConfig
+                   ) -> tuple[BinomialApprox, BinomialApprox]:
+    """The moment-matched binomials of both hypotheses at (channel, cfg)."""
+    d = derive_params(cfg)
+    return (binomial_approx(moments_full(channel.lambda0, cfg), d),
+            binomial_approx(moments_full(channel.lambda1, cfg), d))
+
+
 def build_rule(channel: ChannelParams, cfg: ReceiverConfig) -> MlRule:
     """Detection rule from analytic moments (the default pipeline)."""
-    d = derive_params(cfg)
-    b0 = binomial_approx(moments_full(channel.lambda0, cfg), d)
-    b1 = binomial_approx(moments_full(channel.lambda1, cfg), d)
-    return MlRule(n_th=ml_threshold_general(b0, b1), approx0=b0, approx1=b1)
+    return build_rule_from_fit(*_binomial_pair(channel, cfg))
 
 
 def build_rule_from_fit(b0: BinomialApprox, b1: BinomialApprox) -> MlRule:

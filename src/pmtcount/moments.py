@@ -11,19 +11,13 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .params import (DerivedParams, ReceiverConfig, check_rate,
-                     derive_params)
+from .params import (ApproximationBreakdownError, DerivedParams,
+                     ReceiverConfig, check_rate, derive_params)
 
 
 class Regime(enum.Enum):
     T_GT_TAU = "T>tau"
     T_LE_TAU = "T<=tau"
-
-
-class NoiseModel(enum.Enum):
-    NONE = "none"
-    SHOT = "shot"
-    SHOT_THERMAL = "shot+thermal"
 
 
 @dataclass(frozen=True)
@@ -42,14 +36,9 @@ class CountMoments:
     mean: float
     variance: float
     regime: Regime
-    noise: NoiseModel
     lambda_equiv: float
     tau_equiv: float
     approx_valid: bool = True
-
-    @property
-    def second_moment(self) -> float:
-        return self.variance + self.mean * self.mean
 
 
 @dataclass(frozen=True)
@@ -65,10 +54,6 @@ class BinomialApprox:
     @property
     def variance(self) -> float:
         return self.N * self.P * (1.0 - self.P)
-
-
-class ApproximationBreakdownError(ValueError):
-    """Raised when a moment-matched approximation has no valid parameters."""
 
 
 def _frame(lam: float, cfg: ReceiverConfig) -> tuple[Regime, float]:
@@ -110,12 +95,12 @@ def moments_exact_noiseless(lam: float, cfg: ReceiverConfig) -> CountMoments:
                    + 2.0 * T * (1.0 - (alpha + 1) * T) * ratio)
         second = mean + mean * mean * bracket
         lam_eq = lam
-    return CountMoments(mean, second - mean * mean, regime, NoiseModel.NONE,
-                        lam_eq, tau_eq, approx_valid=cfg.xi <= 1.0)
+    return CountMoments(mean, second - mean * mean, regime, lam_eq, tau_eq,
+                        approx_valid=cfg.xi <= 1.0)
 
 
 def _equivalent(lam: float, rate: float, cfg: ReceiverConfig,
-                noise: NoiseModel, xi_ok: bool) -> CountMoments:
+                xi_ok: bool) -> CountMoments:
     """The sub-Poisson equivalent model of lam's count at arrival rate
     `rate`: lambda' = rate tau / T (T > tau) or rate (T <= tau), and
     mean = lambda' e^{-lambda' tau'}, var = mean - 2 tau' mean^2."""
@@ -123,7 +108,7 @@ def _equivalent(lam: float, rate: float, cfg: ReceiverConfig,
     lam_eq = rate * cfg.tau / cfg.T if regime is Regime.T_GT_TAU else rate
     mean = lam_eq * math.exp(-lam_eq * tau_eq)
     var = mean - 2.0 * tau_eq * mean * mean
-    return CountMoments(mean, var, regime, noise, lam_eq, tau_eq,
+    return CountMoments(mean, var, regime, lam_eq, tau_eq,
                         _in_validity(lam, cfg) and var > 0.0 and xi_ok)
 
 
@@ -135,7 +120,7 @@ def moments_approx_noiseless(lam: float, cfg: ReceiverConfig) -> CountMoments:
     In both cases mean = lambda' e^{-lambda' tau'} and
     var = mean - 2 tau' mean^2.
     """
-    return _equivalent(lam, lam, cfg, NoiseModel.NONE, cfg.xi <= 1.0)
+    return _equivalent(lam, lam, cfg, cfg.xi <= 1.0)
 
 
 def moments_shot(lam: float, cfg: ReceiverConfig) -> CountMoments:
@@ -147,7 +132,7 @@ def moments_shot(lam: float, cfg: ReceiverConfig) -> CountMoments:
     dead time is unchanged.
     """
     thinned = (1.0 - derive_params(cfg).q) * lam
-    return _equivalent(lam, thinned, cfg, NoiseModel.SHOT, cfg.xi < 1.0)
+    return _equivalent(lam, thinned, cfg, cfg.xi < 1.0)
 
 
 def moments_full(lam: float, cfg: ReceiverConfig) -> CountMoments:
@@ -161,7 +146,8 @@ def moments_full(lam: float, cfg: ReceiverConfig) -> CountMoments:
               var = mean + (2T^2 - 3T) mean^2.
     T <= tau: mean = e^{-lam' tau}(1-p)[1 - e^{-lam' T}(1-p)]/T,
               var = mean[1 + 2(alpha-1)p]
-                    + 2 mean^2 [-(tau + T/2) + p delta/(lam' T + p)].
+                    + 2 mean^2 [-(tau + T/2) + p delta/(lam' T + p)],
+              the last term taken as 0 when p = 0.
     """
     regime, tau_eq = _frame(lam, cfg)
     d = derive_params(cfg)
@@ -173,19 +159,14 @@ def moments_full(lam: float, cfg: ReceiverConfig) -> CountMoments:
         mean = g * (1.0 - g) / T
         var = mean + (2.0 * T * T - 3.0 * T) * mean * mean
         lam_eq = lam_p * tau / T
-    elif lam_p * T + p == 0.0:
-        # Degenerate: no signal and no thermal crossings.
-        return CountMoments(0.0, 0.0, regime, NoiseModel.SHOT_THERMAL, 0.0,
-                            tau_eq, valid)
     else:
         mean = (math.exp(-lam_p * tau) * (1.0 - p)
                 * (1.0 - math.exp(-lam_p * T) * (1.0 - p)) / T)
+        thermal = p * d.delta / (lam_p * T + p) if p > 0.0 else 0.0
         var = (mean * (1.0 + 2.0 * (d.alpha - 1) * p)
-               + 2.0 * mean * mean
-               * (-(tau + T / 2.0) + p * d.delta / (lam_p * T + p)))
+               + 2.0 * mean * mean * (-(tau + T / 2.0) + thermal))
         lam_eq = lam_p
-    return CountMoments(mean, var, regime, NoiseModel.SHOT_THERMAL, lam_eq,
-                        tau_eq, valid and var > 0.0)
+    return CountMoments(mean, var, regime, lam_eq, tau_eq, valid and var > 0.0)
 
 
 def binomial_approx(moments: CountMoments, derived: DerivedParams) -> BinomialApprox:
@@ -209,8 +190,6 @@ def binomial_approx(moments: CountMoments, derived: DerivedParams) -> BinomialAp
         lam_p = moments.lambda_equiv
         if p == 0.0:
             correction = 0.0
-        elif lam_p * T + p == 0.0:
-            raise ApproximationBreakdownError("degenerate lambda' T + p = 0")
         else:
             correction = (p * derived.delta / (tau_eq * (lam_p * T + p))
                           + (derived.alpha - 1) * p / (n_hat * tau_eq))

@@ -30,10 +30,21 @@ def gaussian_q(x):
     return 0.5 * special.erfc(np.asarray(x, dtype=float) / _SQRT2)
 
 
+class ApproximationBreakdownError(ValueError):
+    """Raised when an approximation of the count model has no valid
+    parameters at the requested point; the CLI maps it to exit 3."""
+
+
 def check_rate(lam: float) -> None:
     """Raise ValueError unless the arrival rate lam is finite and >= 0."""
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"lambda={lam} must be finite and nonnegative")
+
+
+def check_tau(tau: float) -> None:
+    """Raise ValueError unless the holding time tau is in (0, 1)."""
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"holding time tau={tau} must be in (0, 1)")
 
 
 def thermal_sigma_from_physical(temperature_k: float, symbol_duration_s: float,
@@ -73,8 +84,7 @@ class ReceiverConfig:
         n_samp = 1.0 / self.T
         if abs(n_samp - round(n_samp)) > 1e-9 * n_samp:
             raise ValueError(f"1/T = {n_samp} is not an integer sample count")
-        if not (0.0 < self.tau < 1.0):
-            raise ValueError(f"holding time tau={self.tau} must be in (0, 1)")
+        check_tau(self.tau)
         if not 0.0 < self.xi < math.inf:
             raise ValueError(f"threshold xi={self.xi} must be positive "
                              "and finite")

@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from . import _kernels
-from .params import ReceiverConfig, check_rate, derive_params
+from .params import ReceiverConfig, check_rate, check_tau, derive_params
 
 BATCH_SIZE = 16384
 
@@ -173,8 +173,7 @@ def simulate_counts_hist(lam: float, cfg: ReceiverConfig, trials: int,
 def ideal_counts_hist(lam: float, tau: float, trials: int, seed: int,
                       workers: int = 1) -> np.ndarray:
     """Histogram of dead-time-censored counts for the ideal receiver."""
-    if not (0.0 < tau < 1.0):
-        raise ValueError("tau must be in (0, 1)")
+    check_tau(tau)
     return _counts_hist(lam, None, partial(_kernels.dead_time_counts, tau=tau),
                         int(1.0 / tau) + 2 + _HIST_PAD, trials, seed, workers)
 

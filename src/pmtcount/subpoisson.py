@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, lambertw
 
-from .moments import ApproximationBreakdownError
-from .params import check_rate
+from .params import ApproximationBreakdownError, check_rate, check_tau
 
 # Beyond this the alternating series loses digits faster than exact
 # summation recovers; moments stay closed-form for all inputs.
@@ -24,7 +23,7 @@ _NORMALIZATION_TOL = 1e-4
 _NEGATIVE_CLAMP = -1e-9
 
 
-class SeriesBreakdownError(ValueError):
+class SeriesBreakdownError(ApproximationBreakdownError):
     """Raised when the stabilized PMF series misses normalization."""
 
 
@@ -59,8 +58,7 @@ def subpoisson_pmf(lam: float, tau: float) -> SubPoissonDist:
     unit normalization by more than 1e-4.
     """
     check_rate(lam)
-    if not (0.0 < tau < 1.0):
-        raise ValueError("tau must be in (0, 1)")
+    check_tau(tau)
     if lam * tau > MAX_LAMBDA_TAU:
         raise SeriesBreakdownError(
             f"lambda*tau = {lam * tau:.3g} exceeds {MAX_LAMBDA_TAU}; "
@@ -117,8 +115,7 @@ def subpoisson_moments(lam: float, tau: float) -> tuple[float, float]:
     mean = lam e^{-lam tau};  var = mean - [1 - (1-tau)^2] mean^2.
     """
     check_rate(lam)
-    if not (0.0 < tau < 1.0):
-        raise ValueError("tau must be in (0, 1)")
+    check_tau(tau)
     mean = lam * math.exp(-lam * tau)
     var = mean - (1.0 - (1.0 - tau) ** 2) * mean * mean
     return mean, var
@@ -136,7 +133,8 @@ def invert_moments(mean: float, variance: float) -> tuple[float, float]:
     where W0 is the principal branch of the Lambert W function. A solution
     exists iff x <= 1/e. Raises ValueError on a nonfinite input, and
     ApproximationBreakdownError if no (lambda', tau') matches: mean or
-    variance <= 0, variance > mean (super-Poisson), or x > 1/e.
+    variance <= 0, variance > mean (super-Poisson), 2 mean^2 below the
+    smallest normal float, or x > 1/e.
     """
     if not (math.isfinite(mean) and math.isfinite(variance)):
         raise ValueError(f"moments must be finite, got {mean} and {variance}")
@@ -149,6 +147,8 @@ def invert_moments(mean: float, variance: float) -> tuple[float, float]:
             f"variance {variance} exceeds mean {mean}: super-Poisson input, "
             "dead-time model does not apply")
 
+    if 2.0 * mean * mean < np.finfo(float).tiny:
+        raise ApproximationBreakdownError(f"2 mean^2 underflows at {mean=}")
     tau_eq = (mean - variance) / (2.0 * mean * mean)
     if tau_eq <= 0.0:
         return mean, 0.0  # Poisson limit

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from pmtcount import cli
+from pmtcount import (ApproximationBreakdownError, DegenerateKlError,
+                      SeriesBreakdownError, cli, moments)
 from pmtcount.cli import (EXIT_BREAKDOWN, EXIT_INVALID_CONFIG, EXIT_OK, main)
 
 
@@ -107,6 +108,15 @@ class TestFitCommand:
             fits.append((float(row["lambda_fit"]), float(row["tau_fit"])))
         assert fits[0] == pytest.approx(fits[1])
         assert fits[2] == pytest.approx(fits[1])
+
+    def test_tiny_mean_is_breakdown(self, tmp_path):
+        # mean = 1e-310: 2 mean^2 underflows, so no tau' exists.
+        hist_path = tmp_path / "hist.csv"
+        hist_path.write_text("n,count\n0,1e300\n1,1e-10\n")
+        out = tmp_path / "fit.csv"
+        assert main(["fit", "--input", str(hist_path), "-o", str(out)]) == \
+            EXIT_BREAKDOWN
+        assert not out.exists()
 
     def test_negative_count_index_is_config_error(self, tmp_path):
         hist_path = tmp_path / "hist.csv"
@@ -386,3 +396,24 @@ def test_nonfinite_fit_count_is_config_error(count, tmp_path):
     assert main(["fit", "--input", str(hist_path), "-o", str(out)]) == \
         EXIT_INVALID_CONFIG
     assert not out.exists()
+
+
+def test_breakdowns_share_one_base_class():
+    assert moments.ApproximationBreakdownError is ApproximationBreakdownError
+    assert issubclass(SeriesBreakdownError, ApproximationBreakdownError)
+    assert issubclass(DegenerateKlError, ApproximationBreakdownError)
+
+
+def test_any_breakdown_exits_3(monkeypatch, tmp_path, capsys):
+    class FreshBreakdown(ApproximationBreakdownError):
+        pass
+
+    def body(args):
+        raise FreshBreakdown("no model at this point")
+
+    monkeypatch.setitem(cli._COMMANDS, "pmf", body)
+    out = tmp_path / "pmf.csv"
+    assert main(["pmf", "--lambda", "1", "--tau", "0.1",
+                 "-o", str(out)]) == EXIT_BREAKDOWN
+    assert not out.exists()
+    assert "approximation breakdown" in capsys.readouterr().err

@@ -329,6 +329,26 @@ class TestBatchedGrid:
                 assert N[i, j] == pytest.approx(b.N, rel=1e-12)
                 assert P[i, j] == pytest.approx(b.P, rel=1e-12)
 
+    def test_binomials_without_shot_noise_match_scalar_chain(self):
+        # sigma = 0: q is a step at xi = 1, so the grid straddles it.
+        tmpl = ReceiverConfig(T=0.01, tau=0.01, xi=0.3, sigma0=0.1)
+        xi = np.array([0.6, 0.9, 0.99, 1.0, 1.01, 1.2])
+        taus = np.array([0.01, 0.02, 0.03])
+        N, P, ok = design._binomial_grid(4.0, tmpl, xi, taus[:, None])
+        for (i, j), valid in np.ndenumerate(ok):
+            cfg = ReceiverConfig(T=tmpl.T, tau=float(taus[i]),
+                                 xi=float(xi[j]), sigma0=tmpl.sigma0)
+            try:
+                b = binomial_approx(moments_full(4.0, cfg),
+                                    derive_params(cfg))
+            except ValueError:
+                assert not valid
+                continue
+            assert valid
+            assert N[i, j] == pytest.approx(b.N, rel=1e-12)
+            assert P[i, j] == pytest.approx(b.P, rel=1e-12)
+        assert ok[:, xi < 1.0].all() and not ok.all()
+
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_full_path_picks_scalar_optimum(self, case):
         # First maximum in tau-major order, as a scan of the scalar chain

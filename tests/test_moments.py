@@ -1,6 +1,7 @@
 """Analytic count moments and the binomial approximation."""
 import math
 
+import numpy as np
 import pytest
 
 from pmtcount import (ApproximationBreakdownError, BinomialApprox,
@@ -99,6 +100,28 @@ class TestFull:
         m = moments_full(0.0, cfg)
         assert m.mean == 0.0 and m.variance == 0.0
 
+    def test_zero_rate_without_thermal_noise_is_invalid(self):
+        # No signal and no thermal crossings: the count is 0 and no
+        # moment-matched model exists, as in the other regimes.
+        cfg = ReceiverConfig(T=0.01, tau=0.02, xi=0.3)
+        m = moments_full(0.0, cfg)
+        assert (m.mean, m.variance, m.lambda_equiv) == (0.0, 0.0, 0.0)
+        assert not m.approx_valid
+
+    def test_noiseless_fast_sampling_matches_exact(self):
+        # With sigma = sigma0 = 0 and T > tau the full model reduces to
+        # the exact noiseless moments.
+        for T in (0.01, 0.02, 0.05, 0.1):
+            for tau in T * np.array([0.1, 0.35, 0.5, 0.9]):
+                cfg = ReceiverConfig(T=T, tau=float(tau), xi=0.3)
+                for lam in (0.0, 0.5, 3.0, 12.0, 40.0):
+                    full = moments_full(lam, cfg)
+                    exact = moments_exact_noiseless(lam, cfg)
+                    assert full.regime is Regime.T_GT_TAU
+                    assert full.mean == exact.mean
+                    assert full.variance == pytest.approx(
+                        exact.variance, rel=1e-13, abs=0.0)
+
     @pytest.mark.parametrize("fn", [moments_exact_noiseless,
                                     moments_approx_noiseless, moments_shot,
                                     moments_full])
@@ -125,6 +148,15 @@ class TestBinomialApprox:
         d = derive_params(cfg)
         m = moments_full(10.0, cfg)
         b = binomial_approx(m, d)
+        assert b.N == pytest.approx(1.0 / (3.0 * cfg.T), rel=1e-12)
+        assert b.P == pytest.approx(3.0 * cfg.T * m.mean, rel=1e-12)
+
+    def test_fast_sampling_form(self):
+        # T > tau: tau' = 3T/2, with no thermal correction.
+        cfg = ReceiverConfig(T=0.02, tau=0.005, xi=0.3, sigma=0.2,
+                             sigma0=0.02)
+        m = moments_full(10.0, cfg)
+        b = binomial_approx(m, derive_params(cfg))
         assert b.N == pytest.approx(1.0 / (3.0 * cfg.T), rel=1e-12)
         assert b.P == pytest.approx(3.0 * cfg.T * m.mean, rel=1e-12)
 

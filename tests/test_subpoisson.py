@@ -144,6 +144,12 @@ class TestInvertMoments:
             invert_moments(mean, mean - 2.0 * tau * mean ** 2)
 
 
+    def test_underflowing_mean_square_is_breakdown(self):
+        # 2 mean^2 underflows to 0, so tau' has no finite value.
+        with pytest.raises(ApproximationBreakdownError):
+            invert_moments(1e-160, 1e-160)
+
+
 def _round_trip(mean, tau):
     """lambda' tau' from inverting the model's own moments at (mean, tau),
     and the relative residual of mean = lambda' e^{-lambda' tau'}."""
