@@ -6,9 +6,12 @@ sigma0 > 0, the covered samples' noise and the count and positions of the
 uncovered samples that cross xi. Reductions are integer histograms, so
 results are identical for any worker count. Workers are threads; numpy
 releases the GIL only inside array operations, so batches overlap partly.
+Importing pmtcount sets two glibc malloc parameters process-wide so that
+batches stop page-faulting their heap in again; results do not depend on them.
 """
 from __future__ import annotations
 
+import ctypes
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -19,6 +22,13 @@ from . import _kernels
 from .params import ReceiverConfig, check_rate, check_tau, derive_params
 
 BATCH_SIZE = 16384
+
+# Trims leave M_TOP_PAD (-2) = 128 MiB of freed heap mapped, above one batch's
+# peak; one arena (M_ARENA_MAX, -8) makes the pool threads share that pad.
+_mallopt = ctypes.CDLL(None).mallopt
+_mallopt.argtypes, _mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
+_mallopt(-2, 128 << 20)
+_mallopt(-8, 1)
 
 # Histogram slack past the largest reachable counts: n_s <= ceil(n_samp / 2),
 # and the ideal receiver records at most floor(1/tau) + 1 pulses.
@@ -126,7 +136,12 @@ def _draw_batch(lam, cfg: ReceiverConfig | None, rng, n):
         cell_noise = rng.normal(0.0, cfg.sigma0, cells.size)
         free = n * cfg.n_samples - cells.size
         k = rng.binomial(free, derive_params(cfg).p)
-        rank = np.sort(rng.choice(free, k, replace=False, shuffle=False))
+        # First k distinct values of i.i.d. uniform draws: a uniform k-subset.
+        rank = np.zeros(0, np.int64)
+        while rank.size < k:
+            rank = np.concatenate([rank, rng.integers(0, free, k - rank.size)])
+            rank.sort()
+            rank = rank[np.diff(rank, prepend=-1) != 0]
         # Uncovered cell of rank r: r plus the covered cells before it.
         skip = np.searchsorted(cells - np.arange(cells.size), rank, "right")
         return cell_noise, rank + skip

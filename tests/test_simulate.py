@@ -1,11 +1,16 @@
 """Event-level Monte Carlo engine: single-trial chain and batch reductions."""
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
+import pmtcount
 from pmtcount import (ReceiverConfig, count_rising_edges, derive_params,
                       estimate_moments_mc, gen_arrivals, hist_moments,
                       ideal_counts_hist, moments_exact_noiseless,
@@ -220,6 +225,41 @@ class TestBatchEngine:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+    def test_noise_crossings_memory_is_sparse(self):
+        # lambda = 0 and p = 0.159: the crossing positions are a k-subset of
+        # 1.6e6 uncovered cells, k ~ 2.6e5; an index array over all of them
+        # would take 13 MB.
+        cfg = ReceiverConfig(T=0.01, tau=0.02, xi=0.3, sigma0=0.3)
+        tracemalloc.start()
+        try:
+            simulate_counts_hist(0.0, cfg, 16384, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
+
+    def test_batches_do_not_fault_heap_in_again(self):
+        # Freed batch memory stays mapped, so identical fig6 batches after a
+        # warm-up reuse its pages; when glibc trims it, each batch faults
+        # ~7000 pages in again. A fresh interpreter, because glibc's default
+        # trim threshold grows with the largest block the process has freed.
+        code = """if True:
+            import resource
+            from pmtcount import ReceiverConfig, simulate_counts_hist
+            cfg = ReceiverConfig(T=0.01, tau=0.02, xi=0.3, sigma=0.2,
+                                 sigma0=0.02)
+            simulate_counts_hist(10.0, cfg, 16384, seed=3)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(3):
+                simulate_counts_hist(10.0, cfg, 16384, seed=3)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+        src = str(Path(pmtcount.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=120)
+        assert int(out.stdout) < 300
 
     def test_mean_matches_analytic(self):
         cfg = ReceiverConfig(T=0.01, tau=0.01, xi=0.3)
