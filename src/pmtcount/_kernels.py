@@ -1,16 +1,24 @@
-"""Hot Monte Carlo kernels of the batch engine: numpy, no Python loops.
-The single-trial chain in `simulate` is their reference.
+"""Hot Monte Carlo kernels of the batch engine: numpy, no Python loops, and
+no sort unless noise flips cells. The single-trial chain in `simulate` is
+their reference.
 
 Batch layout (ragged, one entry per arrival): row (m,) the trial of each
-arrival, ascending; times (m,) its epoch; amps (m,) its amplitude. Epochs
-are sorted within each row by a stable argsort of the float key row + time;
-keys closer than their ulp (<= 2^-38 at row 16383) tie and keep their draw
-order, so rows stay whole and only such close pairs may stay unsorted.
-Thermal noise is drawn later, by a source that receiver_counts calls.
+arrival; times (m,) its epoch; amps (m,) its amplitude. The (row, time)
+pairs never decrease: the draw sorts exact integer keys, so rows stay whole
+and epochs ascend within each row, ties included. Sample k = 1..n_samp of
+trial i is the cell with key i << s | k, s = n_samp.bit_length(): slot 0 of
+each row is never a cell, so keys of adjacent cells differ by 1 only within
+a row. Thermal noise is drawn later, by a source receiver_counts calls.
 """
 from __future__ import annotations
 
 import numpy as np
+
+
+def cell_keys(sample: np.ndarray, n_samp: int) -> np.ndarray:
+    """Cell keys of flat sample indices i * n_samp + k - 1."""
+    pad = (1 << n_samp.bit_length()) - n_samp
+    return sample + sample // n_samp * pad + 1
 
 
 def dead_time_counts(n: int, row: np.ndarray, times: np.ndarray,
@@ -24,19 +32,28 @@ def dead_time_counts(n: int, row: np.ndarray, times: np.ndarray,
 
 
 def _covered_cells(row, times, amps, n_samp, T, tau):
-    """Sorted flat (trial, sample) cells that pulses cover, and their sums."""
-    k0 = np.maximum(np.ceil(times / T), 1.0).astype(np.int64)
-    k1 = np.minimum(np.ceil((times + tau) / T), n_samp + 1.0).astype(np.int64)
-    width = np.maximum(k1 - k0, 0)
-    # Pair i of an arrival whose pairs start at cumsum - width: k0 + i - start.
-    bins = np.repeat(row * n_samp + k0 - 1 - (np.cumsum(width) - width),
-                     width)
-    bins += np.arange(bins.size)
-    order = np.argsort(bins, kind="stable")
-    new = np.diff(bins[order], prepend=-1) != 0
-    # bincount sums each cell from 0.0 in (trial, arrival) order.
-    pulse = np.repeat(amps, width)[order]
-    return bins[order[new]], np.bincount(np.cumsum(new) - 1, weights=pulse)
+    """Sorted keys of the cells that pulses cover, and their pulse sums.
+
+    Arrival i covers keys [a_i, b_i). b is nondecreasing, so its new cells
+    are [max(a_i, b_{i-1}), b_i), and these ranges concatenate to the sorted
+    unique cells. end_i cells lie below b_i; arrival i's are the last ones."""
+    base = row << n_samp.bit_length()
+    a = base + np.maximum(np.ceil(times / T), 1.0).astype(np.int64)
+    b = base + np.minimum(np.ceil((times + tau) / T),
+                          n_samp + 1.0).astype(np.int64)
+    width = np.maximum(b - a, 0)
+    # In place: a_i becomes max(a_i, b_{i-1}), b_i the new-cell count.
+    np.maximum(a[1:], b[:-1], out=a[1:])
+    n_new = np.maximum(b - a, 0, out=b)
+    end = np.cumsum(n_new)
+    cells = np.repeat(a - end + n_new, n_new)
+    cells += np.arange(cells.size)
+    at = np.repeat(end - np.cumsum(width), width)
+    del base, a, b, n_new, end  # the per-pair arrays below set the peak
+    at += np.arange(at.size)
+    # bincount sums each cell from 0.0 in arrival order.
+    return cells, np.bincount(at, weights=np.repeat(amps, width),
+                              minlength=cells.size)
 
 
 def receiver_counts(n: int, row: np.ndarray, times: np.ndarray,
@@ -44,15 +61,17 @@ def receiver_counts(n: int, row: np.ndarray, times: np.ndarray,
                     tau: float, xi: float) -> np.ndarray:
     """Full receiver chain: held pulses -> sampling -> quantize -> edges.
 
-    Sample k = 1..n_samp of trial i (t_k = k T) is cell i * n_samp + k - 1;
-    an arrival at t with amplitude a raises it by a if t <= kT < t + tau.
-    noise(cells) gives the noise of the sorted covered cells and the
-    uncovered cells that cross xi. Counts are the 0->1 transitions, after
-    an implicit low state before the symbol."""
+    An arrival at t with amplitude a raises sample k (t_k = k T) by a if
+    t <= kT < t + tau. noise(cells, F) returns the thermal noise z of the
+    covered cells and the sorted keys of the cells, covered or not, whose
+    bit it inverts instead: a cell is high if F + z >= xi, inverted if
+    flipped. Counts are the 0->1 transitions, after an implicit low state
+    before the symbol."""
     cells, F = _covered_cells(row, times, amps, n_samp, T, tau)
-    cell_noise, crossings = noise(cells)
-    high = np.concatenate([cells[F + cell_noise >= xi], crossings])
-    high.sort(kind="stable")
-    # A high cell starts an edge unless its row's previous cell is high.
-    edge = (high % n_samp == 0) | (np.diff(high, prepend=-1) != 1)
-    return np.bincount(high[edge] // n_samp, minlength=n)
+    z, flips = noise(cells, F)
+    high = cells[F + z >= xi]
+    if flips.size:
+        high = np.setxor1d(high, flips, assume_unique=True)
+    # A high cell starts an edge unless the key before it is high.
+    edge = np.diff(high, prepend=-1) != 1
+    return np.bincount(high[edge] >> n_samp.bit_length(), minlength=n)

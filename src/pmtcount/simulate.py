@@ -1,13 +1,14 @@
 """Event-level Monte Carlo of the receiver chain.
 
 Batch b draws all of its randomness from default_rng(SeedSequence(seed,
-spawn_key=(b,))) in a fixed order: counts, epochs, amplitudes, then, if
-sigma0 > 0, the covered samples' noise and the count and positions of the
-uncovered samples that cross xi. Reductions are integer histograms, so
-results are identical for any worker count. Workers are threads; numpy
-releases the GIL only inside array operations, so batches overlap partly.
-Importing pmtcount sets two glibc malloc parameters process-wide so that
-batches stop page-faulting their heap in again; results do not depend on them.
+spawn_key=(b,))) in a fixed order: arrival counts, epochs as 49-bit integer
+keys, amplitudes, then, if sigma0 > 0, Normal noise for the covered samples
+within 6 sigma0 of xi and the flip candidates of all other samples with
+their acceptance draws. Reductions are integer histograms, so results are
+identical for any worker count. Workers are threads; numpy releases the GIL
+only inside array operations, so batches overlap partly. Importing pmtcount
+sets two glibc malloc parameters process-wide so that batches stop
+page-faulting their heap in again; results do not depend on them.
 """
 from __future__ import annotations
 
@@ -19,9 +20,13 @@ from functools import partial
 import numpy as np
 
 from . import _kernels
-from .params import ReceiverConfig, check_rate, check_tau, derive_params
+from .params import (ReceiverConfig, check_rate, check_tau, derive_params,
+                     gaussian_q)
 
 BATCH_SIZE = 16384
+# Epoch keys row << 49 | epoch fit int64 while rows take at most 14 bits.
+_EPOCH_BITS = 49
+assert BATCH_SIZE <= 1 << (63 - _EPOCH_BITS)
 
 # Trims leave M_TOP_PAD (-2) = 128 MiB of freed heap mapped, above one batch's
 # peak; one arena (M_ARENA_MAX, -8) makes the pool threads share that pad.
@@ -113,38 +118,57 @@ def simulate_symbol(lam: float, cfg: ReceiverConfig,
 # ---------------------------------------------------------------------------
 # batch engine
 
+def _flip_candidates(rng, size, r):
+    """Sorted positions in [0, size), each included independently with
+    probability r: partial sums of i.i.d. Geometric(r) gaps."""
+    # Mean + 4 sd: the first round nearly always reaches size.
+    chunk = int(size * r + 4.0 * (size * r) ** 0.5) + 1
+    pos = np.cumsum(rng.geometric(r, chunk)) - 1
+    while pos[-1] < size:
+        more = pos[-1] + np.cumsum(rng.geometric(r, chunk))
+        pos = np.concatenate([pos, more])
+    return pos[:np.searchsorted(pos, size)]
+
+
 def _draw_batch(lam, cfg: ReceiverConfig | None, rng, n):
     """Draw all randomness for n trials in the ragged layout of `_kernels`
-    (row, times, amps, noise); lam may be scalar or (n,) array. The kernel
-    calls noise(cells) once, with the sorted covered cells: it draws their
-    Normal(0, sigma0) noise, then a Binomial(#uncovered, p) count of
-    uncovered cells that cross xi, at distinct uniform positions.
+    (row, times, amps, noise); lam may be scalar or (n,) array.
+
+    The kernel calls noise(cells, F) once. Covered cells with
+    |F - xi| < 6 sigma0 get Normal(0, sigma0) noise. Every other sample
+    (F = 0 if uncovered) flips its noiseless bit with probability
+    q = Q(|F - xi| / sigma0) <= r = max(Q(6), p): it is drawn as a
+    Bernoulli(r) candidate and accepted with probability q / r.
     """
     row = np.repeat(np.arange(n), rng.poisson(lam, n))
-    times = rng.random(row.size)
-    times = times[np.argsort(row + times, kind="stable")]
+    key = rng.integers(0, 1 << _EPOCH_BITS, row.size)
+    key |= row << _EPOCH_BITS
+    key.sort()  # orders (row, epoch) exactly; rows keep their places
+    times = (key & ((1 << _EPOCH_BITS) - 1)) * 2.0 ** -_EPOCH_BITS
     if cfg is None:
         return row, times
     if cfg.sigma > 0.0:
         amps = rng.normal(1.0, cfg.sigma, row.size)
     else:
         amps = np.ones(row.size)
+    n_samp, xi, sigma0 = cfg.n_samples, cfg.xi, cfg.sigma0
+    p = derive_params(cfg).p
+    r = max(gaussian_q(6.0), p)
 
-    def noise(cells):
-        if cfg.sigma0 == 0.0:
+    def noise(cells, F):
+        if sigma0 == 0.0:
             return 0.0, cells[:0]
-        cell_noise = rng.normal(0.0, cfg.sigma0, cells.size)
-        free = n * cfg.n_samples - cells.size
-        k = rng.binomial(free, derive_params(cfg).p)
-        # First k distinct values of i.i.d. uniform draws: a uniform k-subset.
-        rank = np.zeros(0, np.int64)
-        while rank.size < k:
-            rank = np.concatenate([rank, rng.integers(0, free, k - rank.size)])
-            rank.sort()
-            rank = rank[np.diff(rank, prepend=-1) != 0]
-        # Uncovered cell of rank r: r plus the covered cells before it.
-        skip = np.searchsorted(cells - np.arange(cells.size), rank, "right")
-        return cell_noise, rank + skip
+        z = np.zeros(cells.size)
+        near = np.abs(F - xi) < 6.0 * sigma0
+        z[near] = rng.normal(0.0, sigma0, np.count_nonzero(near))
+        cand = _kernels.cell_keys(_flip_candidates(rng, n * n_samp, r), n_samp)
+        at = np.searchsorted(cells, cand)
+        hit = at < np.searchsorted(cells, cand, "right")
+        dist = np.abs(F[at[hit]] - xi)
+        # q = p where uncovered; near cells have their Normal noise already.
+        q = np.full(cand.size, p)
+        q[hit] = np.where(dist < 6.0 * sigma0, 0.0, gaussian_q(dist / sigma0))
+        return z, cand[rng.random(cand.size) * r < q]
     return row, times, amps, noise
 
 

@@ -311,13 +311,13 @@ class TestSweepOutputs:
          "35e005a2a4d7cfa2022021f07a338d3e39960878ab59d231788d1cad262e80c6"),
         (["approx-params", "--preset", "fig6", "--values", "0.2", "0.8",
           "--seed", "5"],
-         "3647b80ba808926b0b53d0903301a0f6908b2355c2f695542df157e387d49b6e"),
+         "e41f8fd733516265fb3146e313d04fd14cd014a500a17fdee3766a2a8e3415ed"),
         (["ber", "--preset", "fig10", "--values", "0.2", "0.5",
           "--seed", "6"],
-         "e9292b24052821bd3e6b4e5f3cc4d85e02fb1e9fad232f3893044b2468885ffe"),
+         "af0b1e1f258374c9f5eabf3ca87d6fae524f6082305e3f526ff7f58a27b061c0"),
         (["ber", "--preset", "fig9", "--values", "0.01", "0.03",
           "--seed", "7", "--mc-fitted-rule"],
-         "6f044ad642184f5b811ca7db3d064975f1dc65ce7b07b1e4421524b38e209110"),
+         "616f4761c6408b82a1a0f6ee59d8377991fbe1bbfc8d20d0f05ee09827803d6c"),
     ]
 
     @pytest.mark.parametrize("argv,digest", CASES,

@@ -16,7 +16,7 @@ from pmtcount import (ReceiverConfig, count_rising_edges, derive_params,
                       ideal_counts_hist, moments_exact_noiseless,
                       simulate_counts_hist, simulate_symbol, synth_samples)
 from pmtcount import _kernels
-from pmtcount.simulate import _batch_rng, _draw_batch
+from pmtcount.simulate import BATCH_SIZE, _batch_rng, _draw_batch
 
 
 class TestArrivals:
@@ -126,36 +126,52 @@ class TestBatchEngine:
         # No arrivals in the whole batch, thermal noise only.
         (0.0, ReceiverConfig(T=0.01, tau=0.02, xi=0.3, sigma=0.2,
                              sigma0=0.3), 0.02),
-    ], ids=["fig6_noisy", "T_gt_tau", "noiseless_wide", "no_arrivals"])
+        # xi < 6 sigma0: uncovered flips next to covered cells.
+        (10.0, ReceiverConfig(T=0.01, tau=0.02, xi=0.06, sigma=0.2,
+                              sigma0=0.02), 0.02),
+    ], ids=["fig6_noisy", "T_gt_tau", "noiseless_wide", "no_arrivals",
+            "near_band"])
     def test_kernel_paths_agree_bitwise(self, lam, cfg, dead_tau):
         # Every row of a drawn batch must get the count that the
         # single-trial rule gives: samples at kT, covered when
         # t <= kT < t + tau, plus the noise the kernel drew, quantized at
-        # xi, rising edges counted. An uncovered sample's noise is +inf if
-        # the kernel made it cross xi and -inf otherwise.
+        # xi, rising edges counted. A flipped sample's noise is -inf if its
+        # noiseless bit is high and +inf otherwise.
         rng = _batch_rng(seed=11, batch_index=0)
         row, times, amps, noise = _draw_batch(lam, cfg, rng, 4096)
         drawn = []
 
-        def recorded(cells):
-            drawn.append((cells, *noise(cells)))
-            return drawn[-1][1:]
+        def recorded(cells, F):
+            drawn.append((cells, F.copy(), *noise(cells, F)))
+            return drawn[-1][2:]
         n_samp = cfg.n_samples
         got = _kernels.receiver_counts(4096, row, times, amps, recorded,
                                        n_samp, cfg.T, cfg.tau, cfg.xi)
-        [(cells, cell_noise, crossings)] = drawn
-        assert np.unique(crossings).size == crossings.size
-        assert not np.isin(crossings, cells).any()
-        flat = np.full(4096 * n_samp, -np.inf)
-        flat[crossings] = np.inf
-        flat[cells] = cell_noise
+        [(cells, F, cell_noise, flips)] = drawn
+        # Normal noise went to exactly the cells within 6 sigma0 of xi, and
+        # the flipped cells are distinct and none of those.
+        near = np.abs(F - cfg.xi) < 6.0 * cfg.sigma0
+        assert np.array_equal(np.broadcast_to(cell_noise, F.shape) != 0.0,
+                              near)
+        assert np.unique(flips).size == flips.size
+        assert not np.isin(flips, cells[near]).any()
+        shift = n_samp.bit_length()
+
+        def flat_index(key):
+            return (key >> shift) * n_samp + (key & ((1 << shift) - 1)) - 1
+        flat_F = np.zeros(4096 * n_samp)
+        flat_F[flat_index(cells)] = F
+        flat = np.zeros(4096 * n_samp)
+        flat[flat_index(cells)] = cell_noise
+        flat[flat_index(flips)] = np.where(flat_F[flat_index(flips)] >= cfg.xi,
+                                           -np.inf, np.inf)
         kT = np.arange(1, n_samp + 1) * cfg.T
         for i in range(4096):
             t = times[row == i]
             covered = (t <= kT[:, None]) & (kT[:, None] < t + cfg.tau)
-            # Noise was drawn for exactly the covered samples of the row.
-            lo, hi = np.searchsorted(cells, [i * n_samp, (i + 1) * n_samp])
-            assert np.array_equal(cells[lo:hi] - i * n_samp,
+            # The cells of the row are exactly its covered samples.
+            lo, hi = np.searchsorted(cells, [i << shift, (i + 1) << shift])
+            assert np.array_equal(flat_index(cells[lo:hi]) - i * n_samp,
                                   np.flatnonzero(covered.any(axis=1)))
             values = (covered @ amps[row == i]
                       + flat[i * n_samp:(i + 1) * n_samp])
@@ -167,6 +183,17 @@ class TestBatchEngine:
         for i in range(4096):
             t = np.sort(times[row == i])
             assert got[i] == (t.size > 0) + int((np.diff(t) > dead_tau).sum())
+
+    def test_draw_is_sorted_by_row_then_time(self):
+        # The kernels build covered cells without a sort: they rely on
+        # (row, time) pairs that never decrease across the whole batch.
+        cfg = ReceiverConfig(T=0.01, tau=0.02, xi=0.3, sigma=0.2, sigma0=0.02)
+        for lam in (10.0, np.linspace(0.0, 40.0, BATCH_SIZE)):
+            row, times, *_ = _draw_batch(lam, cfg, _batch_rng(17, 0),
+                                         BATCH_SIZE)
+            step = np.diff(row)
+            assert np.all((step > 0) | ((step == 0) & (np.diff(times) >= 0)))
+            assert np.all((times >= 0.0) & (times < 1.0))
 
     def test_batch_matches_single_trial_chain(self):
         # The batch engine and the single-trial API sample the same model;
@@ -184,7 +211,10 @@ class TestBatchEngine:
         (1.0, 0.3, 0.01, 0.02, 23),   # fig10, symbol 0
         (12.0, 0.3, 0.01, 0.02, 25),  # fig10, symbol 1
         (2.0, 0.3, 0.02, 0.3, 27),    # p = Q(1) = 0.159 per noise sample
-    ], ids=["fig6", "fig10_lambda0", "fig10_lambda1", "noise_p0.159"])
+        # xi < 6 sigma0: uncovered samples cross at p = Q(3).
+        (10.0, 0.06, 0.02, 0.02, 31),
+    ], ids=["fig6", "fig10_lambda0", "fig10_lambda1", "noise_p0.159",
+            "near_band"])
     def test_batch_matches_single_trial_distribution(self, lam, xi, tau,
                                                      sigma0, seed):
         # Two-sample chi-square of the count distributions, tail bins
