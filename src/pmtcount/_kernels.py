@@ -28,7 +28,7 @@ def dead_time_counts(n: int, row: np.ndarray, times: np.ndarray,
     previous one exceeds tau (the merged pulse train must drop low first)."""
     recorded = np.diff(row, prepend=-1) != 0
     recorded[1:] |= np.diff(times) > tau
-    return np.bincount(row[recorded], minlength=n)
+    return np.bincount(row.compress(recorded), minlength=n)
 
 
 def _covered_cells(row, times, amps, n_samp, T, tau):
@@ -69,9 +69,9 @@ def receiver_counts(n: int, row: np.ndarray, times: np.ndarray,
     before the symbol."""
     cells, F = _covered_cells(row, times, amps, n_samp, T, tau)
     z, flips = noise(cells, F)
-    high = cells[F + z >= xi]
+    high = cells[F + z >= xi]  # 83-100 % dense; compress only wins below ~93 %
     if flips.size:
         high = np.setxor1d(high, flips, assume_unique=True)
     # A high cell starts an edge unless the key before it is high.
     edge = np.diff(high, prepend=-1) != 1
-    return np.bincount(high[edge] >> n_samp.bit_length(), minlength=n)
+    return np.bincount(high.compress(edge) >> n_samp.bit_length(), minlength=n)

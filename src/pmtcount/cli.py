@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -319,6 +320,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="pmtcount",

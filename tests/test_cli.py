@@ -327,6 +327,16 @@ class TestSweepOutputs:
         assert main(argv + ["--trials", "20000", "-o", str(out)]) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_reused_parser_keeps_no_state(self, tmp_path):
+        # One parser serves every call in a process: a --mc-fitted-rule
+        # run must leave the next call's parse untouched.
+        (fig9, _), (fig10, digest) = self.CASES[4], self.CASES[3]
+        out = tmp_path / "run.csv"
+        for argv in (fig9, fig10):
+            assert main(argv + ["--trials", "20000", "-o", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert cli._build_parser() is cli._build_parser()
+
     def test_mc_fitted_rule_needs_no_moment_inversion(self, tmp_path,
                                                        monkeypatch):
         # Only the binomial fit of the MC moments is used: the rule is
