@@ -164,17 +164,20 @@ def _require(what, params, *keys):
         raise ValueError(f"missing {what}: {', '.join(missing)}")
 
 
-def _receiver(args, **swept) -> ReceiverConfig:
-    """Receiver config from the resolved args, swept values overriding."""
-    kw = dict(vars(args), **swept)
+def _receiver(args, **point) -> ReceiverConfig:
+    """Receiver config from the resolved args, a sweep point overriding."""
+    kw = dict(vars(args), **point)
     _require("receiver parameters", kw, "T", "tau", "xi")
     return ReceiverConfig(T=kw["T"], tau=kw["tau"], xi=kw["xi"],
                           sigma=kw["sigma"], sigma0=kw["sigma0"])
 
 
-def _channel(args) -> ChannelParams:
+def _channel(args, **point) -> ChannelParams:
+    """Channel from the resolved args; a swept lambda_s sets lambda1."""
     _require("channel parameters", vars(args), "lambda0", "lambda1")
-    return ChannelParams(lambda0=args.lambda0, lambda1=args.lambda1)
+    lambda1 = (args.lambda0 + point["lambda_s"] if "lambda_s" in point
+               else args.lambda1)
+    return ChannelParams(lambda0=args.lambda0, lambda1=lambda1)
 
 
 def _mc_moments(args, lam, cfg, seed):
@@ -229,40 +232,68 @@ def _cmd_fit(args):
 
 def _equiv_row(model):
     """Row builder: MC-fitted (tau', lambda') beside `model`'s theory."""
-    def row(args, cfg, seed):
+    def row(args, point, key):
+        cfg = _receiver(args, **point)
         m = model(args.lam, cfg)
         lam_fit, tau_fit = invert_moments(
-            *_mc_moments(args, args.lam, cfg, seed))
+            *_mc_moments(args, args.lam, cfg, key))
         return tau_fit, lam_fit, m.tau_equiv, m.lambda_equiv
     return row
 
 
-def _binomial_row(args, cfg, seed):
+def _binomial_row(args, point, key):
     """Row builder: theory binomial (N, P) beside the MC-fitted one."""
+    cfg = _receiver(args, **point)
     b = binomial_approx(moments_full(args.lam, cfg), derive_params(cfg))
-    fit = fit_binomial(*_mc_moments(args, args.lam, cfg, seed))
+    fit = fit_binomial(*_mc_moments(args, args.lam, cfg, key))
     return b.N, b.P, fit.N, fit.P
+
+
+def _ber_row(args, point, key):
+    """Row builder: MC BER beside the detection rule's analytic BER."""
+    channel, cfg = _channel(args, **point), _receiver(args, **point)
+    if args.mc_fitted_rule:
+        rule = build_rule_from_fit(*(
+            fit_binomial(*_mc_moments(args, lam, cfg, (*key, 1, h)))
+            for h, lam in enumerate((channel.lambda0, channel.lambda1))))
+    else:
+        rule = build_rule(channel, cfg)
+    ber, stderr = ber_mc(channel, cfg, args.trials, (*key, 0), args.workers,
+                         rule=rule)
+    return ber, stderr, error_prob_analytic(rule)
 
 
 _EQUIV_COLUMNS = ["tau_fit", "lambda_fit", "tau_theory", "lambda_theory"]
 
-# MC sweep command -> (swept receiver parameter, row builder, row columns)
+# MC sweep command -> (swept parameter, rate parameters, row builder, row
+# columns); ber sweeps its --sweep parameter, or runs one unswept point.
 _SWEEPS = {
-    "sweep-sampling": ("T", _equiv_row(moments_approx_noiseless),
+    "sweep-sampling": ("T", ("lam",), _equiv_row(moments_approx_noiseless),
                        _EQUIV_COLUMNS),
-    "sweep-noise": ("sigma", _equiv_row(moments_shot), _EQUIV_COLUMNS),
-    "approx-params": ("xi", _binomial_row,
+    "sweep-noise": ("sigma", ("lam",), _equiv_row(moments_shot),
+                    _EQUIV_COLUMNS),
+    "approx-params": ("xi", ("lam",), _binomial_row,
                       ["N_theory", "P_theory", "N_fit", "P_fit"]),
+    "ber": (None, ("lambda0", "lambda1"), _ber_row,
+            ["ber", "stderr", "ber_analytic"]),
 }
 
 
 def _cmd_sweep(args):
-    """One MC-versus-theory row per swept value; point i uses seed + i."""
-    swept, row, columns = _SWEEPS[args.command]
-    _require("parameters", vars(args), "lam", "values")
-    rows = [(v, *row(args, _receiver(args, **{swept: v}), args.seed + i))
-            for i, v in enumerate(args.values)]
-    return [swept, *columns], rows
+    """One MC-versus-theory row per sweep point, a dict of overrides.
+    Point i's row draws on stream keys that extend (seed, i): the sweeps on
+    (seed, i), ber on (seed, i, 0, h) for hypothesis h, --mc-fitted-rule's
+    fits on (seed, i, 1, h); see `simulate`."""
+    swept, rates, row, columns = _SWEEPS[args.command]
+    swept = swept or args.sweep
+    _require("parameters", vars(args), *rates)
+    if swept or args.values is not None:
+        _require("parameters", {"sweep": swept, "values": args.values},
+                 "sweep", "values")
+    points = [(v, {swept: v}) for v in args.values] if swept else [(0.0, {})]
+    rows = [(v, *row(args, point, (args.seed, i)))
+            for i, (v, point) in enumerate(points)]
+    return [swept or "point", *columns], rows
 
 
 def _cmd_design(args):
@@ -278,45 +309,12 @@ def _cmd_design(args):
              "kl_gap_bound", "skipped_points"], [row])
 
 
-def _cmd_ber(args):
-    channel = _channel(args)
-    if args.sweep or args.values is not None:
-        _require("parameters", vars(args), "sweep", "values")
-    rows = []
-    for i, v in enumerate(args.values if args.sweep else [None]):
-        chan, swept = channel, {}
-        if args.sweep == "lambda_s":
-            chan = ChannelParams(lambda0=channel.lambda0,
-                                 lambda1=channel.lambda0 + v)
-        elif args.sweep:
-            swept = {args.sweep: v}
-        cfg = _receiver(args, **swept)
-        if args.mc_fitted_rule:
-            rule = _mc_rule(chan, cfg, args)
-        else:
-            rule = build_rule(chan, cfg)
-        ber, stderr = ber_mc(chan, cfg, args.trials, args.seed + 2 * i,
-                             args.workers, rule=rule)
-        analytic = error_prob_analytic(rule)
-        rows.append((v if v is not None else 0.0, ber, stderr, analytic))
-    label = args.sweep or "point"
-    return [label, "ber", "stderr", "ber_analytic"], rows
-
-
-def _mc_rule(channel, cfg, args):
-    """Rule from binomials fitted to MC moments at seeds seed+1000, +1001."""
-    fits = [fit_binomial(*_mc_moments(args, lam, cfg, args.seed + 1000 + i))
-            for i, lam in enumerate((channel.lambda0, channel.lambda1))]
-    return build_rule_from_fit(*fits)
-
-
 _COMMANDS = {
     "pmf": _cmd_pmf,
     "moments": _cmd_moments,
     "fit": _cmd_fit,
     **dict.fromkeys(_SWEEPS, _cmd_sweep),
     "design": _cmd_design,
-    "ber": _cmd_ber,
 }
 
 
@@ -358,23 +356,20 @@ def _build_parser():
             ("sweep-noise", "MC vs theory equivalent params over sigma",
              "shot noise std devs"),
             ("approx-params", "binomial (N, P) vs MC fit over xi",
-             "decision thresholds")):
+             "decision thresholds"),
+            ("ber", "Monte Carlo bit error rate", "values of --sweep")):
         p = sub.add_parser(name, help=help_text)
         common(p)
         p.add_argument("--values", type=float, nargs="+", default=None,
                        help=f"swept {label}")
+    p.add_argument("--sweep", choices=["xi", "tau", "lambda_s"], default=None)
+    p.add_argument("--mc-fitted-rule", action="store_true", default=None,
+                   help="build the detection rule from MC-fitted moments")
 
     p = sub.add_parser("design", help="select (xi*, tau*) by max-min KL")
     common(p, needs_mc=False)
     p.add_argument("--full-path", action="store_true", default=None,
                    help="force the full max-min grid search")
-
-    p = sub.add_parser("ber", help="Monte Carlo bit error rate")
-    common(p)
-    p.add_argument("--sweep", choices=["xi", "tau", "lambda_s"], default=None)
-    p.add_argument("--values", type=float, nargs="+", default=None)
-    p.add_argument("--mc-fitted-rule", action="store_true", default=None,
-                   help="build the detection rule from MC-fitted moments")
     return parser
 
 

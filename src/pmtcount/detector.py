@@ -131,14 +131,14 @@ def error_prob_analytic(rule: MlRule) -> float:
 
 
 def ber_mc(channel: ChannelParams, cfg: ReceiverConfig, symbols: int,
-           seed: int, workers: int = 1,
+           seed: int | tuple, workers: int = 1,
            rule: MlRule | None = None) -> tuple[float, float]:
     """Monte Carlo bit error rate over i.i.d. equiprobable OOK symbols.
 
-    Simulates each hypothesis stream separately with derived seeds (the
-    error count is an average over the equiprobable prior), applies the
-    rule built from analytic moments unless one is supplied, and returns
-    (ber, binomial-proportion standard error).
+    Hypothesis h runs on the stream key `seed` extended by h (an int s
+    gives (s, 0) and (s, 1); see `simulate`), applies the rule built from
+    analytic moments unless one is supplied, and returns (ber,
+    binomial-proportion standard error).
     """
     if symbols < 1:
         raise ValueError("symbols must be >= 1")
@@ -146,11 +146,12 @@ def ber_mc(channel: ChannelParams, cfg: ReceiverConfig, symbols: int,
         rule = build_rule(channel, cfg)
     n0 = symbols // 2
     n1 = symbols - n0
+    key = seed if isinstance(seed, tuple) else (seed,)
     errors = 0
     if n0:
-        h0 = simulate_counts_hist(channel.lambda0, cfg, n0, seed, workers)
+        h0 = simulate_counts_hist(channel.lambda0, cfg, n0, (*key, 0), workers)
         errors += int(h0[rule.n_th + 1:].sum())
-    h1 = simulate_counts_hist(channel.lambda1, cfg, n1, seed + 1, workers)
+    h1 = simulate_counts_hist(channel.lambda1, cfg, n1, (*key, 1), workers)
     errors += int(h1[:rule.n_th + 1].sum())
     ber = errors / symbols
     std_error = math.sqrt(max(ber * (1.0 - ber), 1.0 / symbols) / symbols)

@@ -87,10 +87,9 @@ def moments_exact_noiseless(lam: float, cfg: ReceiverConfig) -> CountMoments:
         mean = math.exp(-lam * tau) * (1.0 - math.exp(-lam * T)) / T
         d = derive_params(cfg)
         alpha, delta = d.alpha, d.delta
-        if lam == 0.0:
-            ratio = 0.0
-        else:
-            ratio = (1.0 - math.exp(-lam * (T - delta))) / (1.0 - math.exp(-lam * T))
+        # 1 - e^{-lam T} is 0 when lam T < 2^-53; the mean is then 0 too.
+        denom = 1.0 - math.exp(-lam * T)
+        ratio = (1.0 - math.exp(-lam * (T - delta))) / denom if denom else 0.0
         bracket = ((1.0 - (alpha + 1) * T) * (1.0 - (alpha + 2) * T)
                    + 2.0 * T * (1.0 - (alpha + 1) * T) * ratio)
         second = mean + mean * mean * bracket

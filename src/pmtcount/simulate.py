@@ -1,7 +1,9 @@
 """Event-level Monte Carlo of the receiver chain.
 
-Batch b draws all of its randomness from default_rng(SeedSequence(seed,
-spawn_key=(b,))) in a fixed order: arrival counts, epochs as 49-bit integer
+A `seed` is a stream key (NumPy NEP 19): an int s, the same as (s,), or a
+tuple (s, k1, ..., km); callers extend a key to split its stream. Batch b
+draws all of its randomness from default_rng(SeedSequence(s, spawn_key=(k1,
+..., km, b))) in a fixed order: arrival counts, epochs as 49-bit integer
 keys, amplitudes, then, if sigma0 > 0, Normal noise for the covered samples
 within 6 sigma0 of xi and the flip candidates of all other samples with
 their acceptance draws. Reductions are integer histograms, so results are
@@ -40,9 +42,11 @@ _mallopt(-8, 1)
 _HIST_PAD = 4
 
 
-def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
+def _batch_rng(seed: int | tuple, batch_index: int) -> np.random.Generator:
+    # Entropy is zero-padded ((s, 0) would be s), so k1.. join the spawn key.
+    entropy, *key = seed if isinstance(seed, tuple) else (seed,)
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
+        np.random.SeedSequence(entropy, spawn_key=(*key, batch_index)))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +205,7 @@ def _counts_hist(lam, cfg, kernel, hist_len, trials, seed, workers):
 
 
 def simulate_counts_hist(lam: float, cfg: ReceiverConfig, trials: int,
-                         seed: int, workers: int = 1) -> np.ndarray:
+                         seed: int | tuple, workers: int = 1) -> np.ndarray:
     """Histogram of recorded pulse counts over `trials` receiver symbols."""
     kernel = partial(_kernels.receiver_counts, n_samp=cfg.n_samples, T=cfg.T,
                      tau=cfg.tau, xi=cfg.xi)
@@ -209,7 +213,7 @@ def simulate_counts_hist(lam: float, cfg: ReceiverConfig, trials: int,
                         trials, seed, workers)
 
 
-def ideal_counts_hist(lam: float, tau: float, trials: int, seed: int,
+def ideal_counts_hist(lam: float, tau: float, trials: int, seed: int | tuple,
                       workers: int = 1) -> np.ndarray:
     """Histogram of dead-time-censored counts for the ideal receiver."""
     check_tau(tau)
@@ -233,7 +237,7 @@ def hist_moments(hist: np.ndarray) -> tuple[float, float]:
 
 
 def estimate_moments_mc(lam: float, cfg: ReceiverConfig, trials: int,
-                        seed: int, workers: int = 1
+                        seed: int | tuple, workers: int = 1
                         ) -> tuple[float, float, float]:
     """Monte Carlo mean, variance and standard error of the mean of n_s.
 

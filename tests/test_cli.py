@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from pmtcount import (ApproximationBreakdownError, DegenerateKlError,
-                      SeriesBreakdownError, cli, moments)
+from pmtcount import (ApproximationBreakdownError, ChannelParams,
+                      DegenerateKlError, ReceiverConfig, SeriesBreakdownError,
+                      ber_mc, cli, detector, moments)
 from pmtcount.cli import (EXIT_BREAKDOWN, EXIT_INVALID_CONFIG, EXIT_OK, main)
 
 
@@ -305,19 +306,19 @@ class TestSweepOutputs:
     CASES = [
         (["sweep-sampling", "--preset", "fig3", "--values", "0.02", "0.005",
           "--seed", "3"],
-         "657042cd46aeed12d294e8c5b188f94a79c8eda4320f8417708161756793818e"),
+         "21b0fdb842afee4d97d7d9dfaac7846fa44e289f27a101f25b6aec5619850914"),
         (["sweep-noise", "--preset", "fig5", "--values", "0.1", "0.3",
           "--seed", "4"],
-         "35e005a2a4d7cfa2022021f07a338d3e39960878ab59d231788d1cad262e80c6"),
+         "a79723fc078f6dda093e87591f233fde2bea3bff757a57e06027614f289a6b88"),
         (["approx-params", "--preset", "fig6", "--values", "0.2", "0.8",
           "--seed", "5"],
-         "e41f8fd733516265fb3146e313d04fd14cd014a500a17fdee3766a2a8e3415ed"),
+         "02475babbfe9f4a00096d1b8753d1726aad97fe841e1f9143ad478dea7a2e843"),
         (["ber", "--preset", "fig10", "--values", "0.2", "0.5",
           "--seed", "6"],
-         "af0b1e1f258374c9f5eabf3ca87d6fae524f6082305e3f526ff7f58a27b061c0"),
+         "e9292b24052821bd3e6b4e5f3cc4d85e02fb1e9fad232f3893044b2468885ffe"),
         (["ber", "--preset", "fig9", "--values", "0.01", "0.03",
           "--seed", "7", "--mc-fitted-rule"],
-         "616f4761c6408b82a1a0f6ee59d8377991fbe1bbfc8d20d0f05ee09827803d6c"),
+         "a0d5618d651569dfa215f950c03f4757dc4b89aef527724291ad9027ee2614ce"),
     ]
 
     @pytest.mark.parametrize("argv,digest", CASES,
@@ -358,6 +359,31 @@ class TestSweepOutputs:
     def test_degenerate_fit_is_breakdown(self, argv):
         # One trial has variance 0: no binomial matches it.
         assert main(argv + ["--trials", "1"]) == EXIT_BREAKDOWN
+
+
+def test_no_two_streams_share_a_key(monkeypatch, tmp_path):
+    # Every histogram a sweep or ber_mc draws has its own stream key: the
+    # fitted-rule fits, the evaluations, every point, and ber_mc at seeds
+    # s and s + 1 (an int s and the tuple (s,) are the same key).
+    keys = []
+
+    def recorder(real):
+        def hist(lam, cfg, trials, seed, workers=1):
+            keys.append(seed if isinstance(seed, tuple) else (seed,))
+            return real(lam, cfg, trials, seed, workers)
+        return hist
+    for owner in (cli, detector):
+        monkeypatch.setattr(owner, "simulate_counts_hist",
+                            recorder(owner.simulate_counts_hist))
+    assert main(["ber", "--preset", "fig9", "--values", "0.01", "0.03",
+                 "0.05", "--seed", "7", "--mc-fitted-rule", "--trials",
+                 "20000", "-o", str(tmp_path / "b.csv")]) == EXIT_OK
+    assert len(keys) == 12
+    cfg = ReceiverConfig(T=0.01, tau=0.01, xi=0.3, sigma=0.2, sigma0=0.02)
+    for seed in (7, 8):
+        ber_mc(ChannelParams(lambda0=1.0, lambda1=12.0), cfg, 2000, seed)
+    assert len(keys) == 16
+    assert len(set(keys)) == len(keys)
 
 
 @pytest.mark.parametrize("argv", [

@@ -21,6 +21,14 @@ class TestExactNoiseless:
         m = moments_exact_noiseless(0.0, cfg)
         assert m.mean == 0.0 and m.variance == 0.0
 
+    @pytest.mark.parametrize("lam", [1e-136, 5e-324])
+    def test_rate_below_float_resolution(self, lam):
+        # 1 - e^{-lam T} rounds to 0 here, as the mean does; the adjacent-
+        # window ratio must not divide by it.
+        cfg = ReceiverConfig(T=0.0078125, tau=0.3, xi=0.3)
+        m = moments_exact_noiseless(lam, cfg)
+        assert m.mean == 0.0 and m.variance == 0.0
+
     def test_fast_sampling_reference(self):
         cfg = ReceiverConfig(T=0.01, tau=0.005, xi=0.3)
         m = moments_exact_noiseless(10.0, cfg)

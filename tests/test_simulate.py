@@ -110,6 +110,15 @@ class TestBatchEngine:
         h8 = simulate_counts_hist(10.0, cfg, 50_000, seed=7, workers=8)
         assert np.array_equal(h1, h8)
 
+    def test_stream_key_extends_the_spawn_key(self):
+        # An int seed s keeps its batch streams: batch b is spawn key (b,).
+        want = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(3,)))
+        assert np.array_equal(_batch_rng(5, 3).random(8), want.random(8))
+        # The rest of a key tuple joins the spawn key, not the entropy:
+        # SeedSequence zero-pads entropy, where (5, 0) would be 5 again.
+        assert not np.array_equal(_batch_rng((5, 0), 3).random(8),
+                                  _batch_rng(5, 3).random(8))
+
     def test_ideal_worker_count_invariance(self):
         h1 = ideal_counts_hist(10.0, 0.01, 50_000, seed=7, workers=1)
         h4 = ideal_counts_hist(10.0, 0.01, 50_000, seed=7, workers=4)
