@@ -8,7 +8,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .moments import BinomialApprox, binomial_approx, moments_full
-from .params import ChannelParams, ReceiverConfig, derive_params
+from .params import (ApproximationBreakdownError, ChannelParams,
+                     ReceiverConfig, derive_params)
 from .simulate import simulate_counts_hist
 
 # Renormalization of the real-N binomial PMF must stay below this at a
@@ -55,7 +56,8 @@ class MlRule:
         if self.n_th < 0:
             raise ValueError("threshold must be nonnegative")
         if self.n_th >= min(self.approx0.N, self.approx1.N):
-            raise ValueError("threshold beyond binomial support")
+            raise ApproximationBreakdownError(
+                "threshold beyond binomial support")
 
 
 def ml_threshold(n_hat1: float, n_hat0: float, T: float) -> int:

@@ -1,23 +1,26 @@
 """Event-level Monte Carlo of the receiver chain.
 
 A `seed` is a stream key (NumPy NEP 19): an int s, the same as (s,), or a
-tuple (s, k1, ..., km); callers extend a key to split its stream. Batch b
+tuple (s, k1, ..., km); callers extend a key to split its stream. Trials
+split into the fewest batches of at most BATCH_SIZE, sizes within 1; batch b
 draws all of its randomness from default_rng(SeedSequence(s, spawn_key=(k1,
 ..., km, b))) in a fixed order: arrival counts, epochs as 49-bit integer
 keys, amplitudes, then, if sigma0 > 0, Normal noise for the covered samples
 within 6 sigma0 of xi and the flip candidates of all other samples with
 their acceptance draws. Reductions are integer histograms, so results are
-identical for any worker count. Workers are threads; numpy releases the GIL
-only inside array operations, so batches overlap partly. Importing pmtcount
-sets two glibc malloc parameters process-wide so that batches stop
-page-faulting their heap in again; results do not depend on them.
+identical for any worker count. Workers are threads of one lasting pool per
+worker count, rebuilt in a forked child; numpy releases the GIL only inside
+array operations, so batches overlap partly. Importing pmtcount sets two
+glibc malloc parameters process-wide so that batches stop page-faulting
+their heap in again; results do not depend on them.
 """
 from __future__ import annotations
 
 import ctypes
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -176,31 +179,40 @@ def _draw_batch(lam, cfg: ReceiverConfig | None, rng, n):
     return row, times, amps, noise
 
 
+@cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max_workers=workers)
+
+
+# A forked child inherits the cached pools but none of their threads.
+os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
 def _map_batches(worker, n_batches: int, workers: int):
     """Run worker(batch_index) for all batches, results in batch order."""
     if workers <= 1 or n_batches <= 1:
         return [worker(b) for b in range(n_batches)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(n_batches)))
+    return list(_pool(workers).map(worker, range(n_batches)))
 
 
 def _counts_hist(lam, cfg, kernel, hist_len, trials, seed, workers):
     """Histogram of kernel(n, *batch) over `trials` symbols.
 
-    Batch b is drawn from _batch_rng(seed, b); the per-batch bincounts are
-    summed exactly. hist_len must exceed every reachable count.
+    Batch b of n_batches = ceil(trials / BATCH_SIZE) has trials // n_batches
+    trials, one more if b < trials % n_batches, drawn from _batch_rng(seed,
+    b); bincounts are summed exactly. hist_len must exceed all reachable n.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    n_batches = -(-trials // BATCH_SIZE)
 
     def worker(b):
-        n = min(BATCH_SIZE, trials - b * BATCH_SIZE)
+        n = trials // n_batches + (b < trials % n_batches)
         batch = _draw_batch(lam, cfg, _batch_rng(seed, b), n)
         return np.bincount(kernel(n, *batch), minlength=hist_len)
 
-    n_batches = (trials + BATCH_SIZE - 1) // BATCH_SIZE
     return np.sum(_map_batches(worker, n_batches, workers), axis=0)
 
 

@@ -306,19 +306,19 @@ class TestSweepOutputs:
     CASES = [
         (["sweep-sampling", "--preset", "fig3", "--values", "0.02", "0.005",
           "--seed", "3"],
-         "21b0fdb842afee4d97d7d9dfaac7846fa44e289f27a101f25b6aec5619850914"),
+         "1afbe775ed9800e053dee63245f33fdffc2965de1f398306d5dac5b09c1a3d58"),
         (["sweep-noise", "--preset", "fig5", "--values", "0.1", "0.3",
           "--seed", "4"],
-         "a79723fc078f6dda093e87591f233fde2bea3bff757a57e06027614f289a6b88"),
+         "8d4643e64d15f98eef89274688cd36d38f4e603e5721b1fe517d1060e726954a"),
         (["approx-params", "--preset", "fig6", "--values", "0.2", "0.8",
           "--seed", "5"],
-         "02475babbfe9f4a00096d1b8753d1726aad97fe841e1f9143ad478dea7a2e843"),
+         "caedf431938349bfdd0478e71413a4dbd65dee827418b2a6d7a934a271d85bd0"),
         (["ber", "--preset", "fig10", "--values", "0.2", "0.5",
           "--seed", "6"],
          "e9292b24052821bd3e6b4e5f3cc4d85e02fb1e9fad232f3893044b2468885ffe"),
         (["ber", "--preset", "fig9", "--values", "0.01", "0.03",
           "--seed", "7", "--mc-fitted-rule"],
-         "a0d5618d651569dfa215f950c03f4757dc4b89aef527724291ad9027ee2614ce"),
+         "6726b4ebaaa77c15e6ef53b478f9e374eb84f011adb075df6a2d4de8fcd4797e"),
     ]
 
     @pytest.mark.parametrize("argv,digest", CASES,
@@ -453,3 +453,15 @@ def test_any_breakdown_exits_3(monkeypatch, tmp_path, capsys):
                  "-o", str(out)]) == EXIT_BREAKDOWN
     assert not out.exists()
     assert "approximation breakdown" in capsys.readouterr().err
+
+
+def test_threshold_beyond_binomial_support_is_breakdown(tmp_path):
+    # At T = 1/3 the design's chosen point has a binomial N below its ML
+    # threshold: no valid model there, which is exit 3, not a config error.
+    out = tmp_path / "design.csv"
+    assert main(["design", "--lambda0", "4.8055355684583025",
+                 "--lambda1", "9.611071136916605",
+                 "--T", "0.3333333333333333", "--tau", "0.3", "--xi", "0.3",
+                 "--sigma", "0.3", "--sigma0", "0.11924391515404767",
+                 "-o", str(out)]) == EXIT_BREAKDOWN
+    assert not out.exists()

@@ -1,8 +1,11 @@
 """Event-level Monte Carlo engine: single-trial chain and batch reductions."""
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -15,7 +18,7 @@ from pmtcount import (ReceiverConfig, count_rising_edges, derive_params,
                       estimate_moments_mc, gen_arrivals, hist_moments,
                       ideal_counts_hist, moments_exact_noiseless,
                       simulate_counts_hist, simulate_symbol, synth_samples)
-from pmtcount import _kernels
+from pmtcount import _kernels, simulate
 from pmtcount.simulate import BATCH_SIZE, _batch_rng, _draw_batch
 
 
@@ -118,6 +121,64 @@ class TestBatchEngine:
         # SeedSequence zero-pads entropy, where (5, 0) would be 5 again.
         assert not np.array_equal(_batch_rng((5, 0), 3).random(8),
                                   _batch_rng(5, 3).random(8))
+
+    def test_batches_split_trials_near_equally(self):
+        # 25 000 fig10 trials are two batches of 12 500, not 16 384 + 8 616.
+        cfg = ReceiverConfig(T=0.01, tau=0.01, xi=0.3, sigma=0.2, sigma0=0.02)
+        got = simulate_counts_hist(12.0, cfg, 25_000, seed=(9,))
+        want = sum(np.bincount(_kernels.receiver_counts(
+            12_500, *_draw_batch(12.0, cfg, _batch_rng((9,), b), 12_500),
+            cfg.n_samples, cfg.T, cfg.tau, cfg.xi), minlength=got.size)
+            for b in (0, 1))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("trials", [1, 16384, 16385, 25_000, 32768,
+                                        1_000_000])
+    def test_batch_sizes(self, monkeypatch, trials):
+        sizes = []
+
+        def recorded(lam, cfg, rng, n):
+            sizes.append(n)
+            return _draw_batch(lam, cfg, rng, n)
+        monkeypatch.setattr(simulate, "_draw_batch", recorded)
+        assert ideal_counts_hist(0.0, 0.5, trials, seed=1).sum() == trials
+        assert sum(sizes) == trials
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= BATCH_SIZE
+        assert len(sizes) == math.ceil(trials / BATCH_SIZE)
+
+    def test_thread_pool_is_reused(self, monkeypatch):
+        cfg = ReceiverConfig(T=0.01, tau=0.01, xi=0.3, sigma=0.2, sigma0=0.02)
+        names = []
+
+        def recorded(*args):
+            names.append(threading.current_thread().name)
+            time.sleep(0.05)  # so that both threads take a batch
+            return _draw_batch(*args)
+        monkeypatch.setattr(simulate, "_draw_batch", recorded)
+        simulate_counts_hist(1.0, cfg, 40_000, seed=2, workers=2)
+        first, names[:] = set(names), []
+        simulate_counts_hist(1.0, cfg, 40_000, seed=2, workers=2)
+        assert set(names) <= first
+
+    def test_pool_survives_fork(self, tmp_path):
+        # A forked child inherits the parent's cached pool but not its
+        # threads; without a reset its batches would wait forever.
+        cfg = ReceiverConfig(T=0.01, tau=0.01, xi=0.3, sigma=0.2, sigma0=0.02)
+        want = simulate_counts_hist(1.0, cfg, 40_000, seed=3, workers=2)
+        out = tmp_path / "child.npy"
+
+        def child():
+            np.save(out, simulate_counts_hist(1.0, cfg, 40_000, seed=3,
+                                              workers=2))
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+            pytest.fail("forked child hung on the pool")
+        assert proc.exitcode == 0
+        assert np.array_equal(np.load(out), want)
 
     def test_ideal_worker_count_invariance(self):
         h1 = ideal_counts_hist(10.0, 0.01, 50_000, seed=7, workers=1)
