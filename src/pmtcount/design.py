@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .detector import (_binomial_pair, binom_pmf_support, build_rule,
                        error_prob_analytic)
-from .moments import BinomialApprox, binomial_approx, moments_full
+from .moments import (BinomialApprox, _bracket, _mean_le, _n_p,
+                      binomial_approx, moments_full)
 from .params import (ApproximationBreakdownError, ChannelParams,
-                     ReceiverConfig, derive_params, gaussian_q)
+                     ReceiverConfig, derive_params)
 
 # Ceiling on the KL gap D01(tau) - D01(T) under the stated parameter box.
 KL_GAP_CEILING = 0.0102
@@ -193,10 +195,9 @@ def check_conditions(channel: ChannelParams,
     p_bound_margin = bound - d.p
 
     try:
-        b0 = binomial_approx(m0, d)
-        b1 = binomial_approx(m1, d)
-        gap = kl_gap_bound(max(lam0p, 1e-300), lam1p, cfg.tau, cfg.T,
-                           alpha, b0.P, b1.P, n_hat0)
+        gap = kl_gap_bound(max(lam0p, 1e-300), lam1p, cfg.tau, cfg.T, alpha,
+                           binomial_approx(m0, d).P,
+                           binomial_approx(m1, d).P, n_hat0)
     except ValueError:
         gap = math.inf
 
@@ -229,20 +230,12 @@ class DesignResult:
 def _binomial_grid(lam, cfg, xi, tau):
     """moments_full -> binomial_approx's (N, P) at broadcast (lam, xi, tau),
     tau >= T, and a mask that is False where that chain would raise."""
-    T = cfg.T
-    q = (gaussian_q((1.0 - xi) / cfg.sigma) if cfg.sigma > 0.0
-         else np.where(xi < 1.0, 0.0, 1.0))
-    p = gaussian_q(xi / cfg.sigma0) if cfg.sigma0 > 0.0 else 0.0
-    alpha = np.floor(tau / T + 1e-12)
-    delta = np.maximum(tau - alpha * T, 0.0)
-    tau_eq = tau + T / 2.0
-    lam_p = (1.0 - q) * lam
-    mean = (np.exp(-lam_p * tau) * (1.0 - p)
-            * (1.0 - np.exp(-lam_p * T) * (1.0 - p)) / T)
-    c = np.where(p == 0.0, 0.0, p * delta / (tau_eq * (lam_p * T + p))
-                 + (alpha - 1) * p / (mean * tau_eq))
-    N = 1.0 / (2.0 * tau_eq * (1.0 - c))
-    P = 2.0 * tau_eq * mean * (1.0 - c)
+    d = derive_params(SimpleNamespace(**vars(cfg) | dict(xi=xi, tau=tau)))
+    tau_eq = tau + cfg.T / 2.0
+    lam_p = (1.0 - d.q) * lam
+    mean = _mean_le(lam_p, d.p, tau, cfg.T, np)
+    c = _bracket(d, lam_p, mean, tau_eq)
+    N, P = _n_p(mean, tau_eq, c)
     ok = ((xi > 0.0) & (tau > 0.0) & (tau < 1.0) & (mean > 0.0) & (c < 1.0)
           & (P > 0.0) & (P < 1.0) & (N > mean))
     return N, P, ok

@@ -76,22 +76,21 @@ def moments_exact_noiseless(lam: float, cfg: ReceiverConfig) -> CountMoments:
               E[n_s^2] = mean + mean^2 (1 - 3T + 2T^2).
     T <= tau: mean = e^{-lam tau}(1 - e^{-lam T})/T, second moment with the
               alpha/delta correlation terms of adjacent-window counting.
+    1 - e^{-lam t} is taken as -expm1(-lam t), 0 only where lam t underflows.
     """
     regime, tau_eq = _frame(lam, cfg)
     T, tau = cfg.T, cfg.tau
     if regime is Regime.T_GT_TAU:
-        mean = math.exp(-lam * tau) * (1.0 - math.exp(-lam * tau)) / T
+        mean = math.exp(-lam * tau) * -math.expm1(-lam * tau) / T
         second = mean + mean * mean * (1.0 - 3.0 * T + 2.0 * T * T)
         lam_eq = tau * lam / T
     else:
-        mean = math.exp(-lam * tau) * (1.0 - math.exp(-lam * T)) / T
+        denom = -math.expm1(-lam * T)
+        mean = math.exp(-lam * tau) * denom / T
         d = derive_params(cfg)
-        alpha, delta = d.alpha, d.delta
-        # 1 - e^{-lam T} is 0 when lam T < 2^-53; the mean is then 0 too.
-        denom = 1.0 - math.exp(-lam * T)
-        ratio = (1.0 - math.exp(-lam * (T - delta))) / denom if denom else 0.0
-        bracket = ((1.0 - (alpha + 1) * T) * (1.0 - (alpha + 2) * T)
-                   + 2.0 * T * (1.0 - (alpha + 1) * T) * ratio)
+        ratio = -math.expm1(-lam * (T - d.delta)) / denom if denom else 0.0
+        bracket = ((1.0 - (d.alpha + 1) * T) * (1.0 - (d.alpha + 2) * T)
+                   + 2.0 * T * (1.0 - (d.alpha + 1) * T) * ratio)
         second = mean + mean * mean * bracket
         lam_eq = lam
     return CountMoments(mean, second - mean * mean, regime, lam_eq, tau_eq,
@@ -134,6 +133,23 @@ def moments_shot(lam: float, cfg: ReceiverConfig) -> CountMoments:
     return _equivalent(lam, thinned, cfg, cfg.xi < 1.0)
 
 
+def _mean_le(lam_p, p, tau, T, xp=math):
+    """moments_full's T <= tau mean; xp=np evaluates arrays."""
+    return (xp.exp(-lam_p * tau) * (1.0 - p)
+            * (1.0 - xp.exp(-lam_p * T) * (1.0 - p)) / T)
+
+
+def _bracket(d: DerivedParams, lam_p, mean, tau_eq):
+    """binomial_approx's T <= tau thermal bracket c; takes arrays too."""
+    return (d.p * d.delta / (tau_eq * (lam_p * d.T + d.p))
+            + (d.alpha - 1) * d.p / (mean * tau_eq))
+
+
+def _n_p(mean, tau_eq, c):
+    """binomial_approx's (N, P) from the bracket c; takes arrays too."""
+    return 1.0 / (2.0 * tau_eq * (1.0 - c)), 2.0 * tau_eq * mean * (1.0 - c)
+
+
 def moments_full(lam: float, cfg: ReceiverConfig) -> CountMoments:
     """Approximate moments with both shot and thermal noise.
 
@@ -141,7 +157,7 @@ def moments_full(lam: float, cfg: ReceiverConfig) -> CountMoments:
     lambda' = (1 - q) lam; thermal noise adds false threshold crossings
     with per-sample probability p = Q(xi/sigma0).
 
-    T > tau:  mean = e^{-lam' tau}(1-p)[1 - e^{-lam' tau}(1-p)]/T,
+    T > tau:  mean = e(1-p)[1 - e(1-p)]/T with e = e^{-lam' tau},
               var = mean + (2T^2 - 3T) mean^2.
     T <= tau: mean = e^{-lam' tau}(1-p)[1 - e^{-lam' T}(1-p)]/T,
               var = mean[1 + 2(alpha-1)p]
@@ -154,13 +170,12 @@ def moments_full(lam: float, cfg: ReceiverConfig) -> CountMoments:
     lam_p = (1.0 - d.q) * lam
     valid = _in_validity(lam, cfg) and cfg.xi < 1.0
     if regime is Regime.T_GT_TAU:
-        g = math.exp(-lam_p * tau) * (1.0 - p)
-        mean = g * (1.0 - g) / T
+        e = math.exp(-lam_p * tau)
+        mean = e * (1.0 - p) * (-math.expm1(-lam_p * tau) + p * e) / T
         var = mean + (2.0 * T * T - 3.0 * T) * mean * mean
         lam_eq = lam_p * tau / T
     else:
-        mean = (math.exp(-lam_p * tau) * (1.0 - p)
-                * (1.0 - math.exp(-lam_p * T) * (1.0 - p)) / T)
+        mean = _mean_le(lam_p, p, tau, T)
         thermal = p * d.delta / (lam_p * T + p) if p > 0.0 else 0.0
         var = (mean * (1.0 + 2.0 * (d.alpha - 1) * p)
                + 2.0 * mean * mean * (-(tau + T / 2.0) + thermal))
@@ -182,21 +197,12 @@ def binomial_approx(moments: CountMoments, derived: DerivedParams) -> BinomialAp
     if n_hat <= 0.0:
         raise ApproximationBreakdownError("count mean must be positive")
     tau_eq = moments.tau_equiv
-    if moments.regime is Regime.T_GT_TAU:
-        correction = 0.0
-    else:
-        T, p = derived.T, derived.p
-        lam_p = moments.lambda_equiv
-        if p == 0.0:
-            correction = 0.0
-        else:
-            correction = (p * derived.delta / (tau_eq * (lam_p * T + p))
-                          + (derived.alpha - 1) * p / (n_hat * tau_eq))
+    correction = (0.0 if moments.regime is Regime.T_GT_TAU else
+                  _bracket(derived, moments.lambda_equiv, n_hat, tau_eq))
     if correction >= 1.0:
         raise ApproximationBreakdownError(
             f"thermal correction bracket {correction} >= 1")
-    N = 1.0 / (2.0 * tau_eq * (1.0 - correction))
-    P = 2.0 * tau_eq * n_hat * (1.0 - correction)
+    N, P = _n_p(n_hat, tau_eq, correction)
     if not (0.0 < P < 1.0):
         raise ApproximationBreakdownError(
             f"binomial probability P={P} outside (0, 1) at mean {n_hat}")

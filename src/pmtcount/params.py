@@ -136,23 +136,19 @@ class DerivedParams:
     T: float
 
 
-def derive_params(cfg: ReceiverConfig) -> DerivedParams:
+def derive_params(cfg) -> DerivedParams:
     """Compute (q, p, alpha, delta, T) for a validated receiver config.
 
-    Pure and deterministic. The floor for alpha is nudged by 1e-12 so that
-    tau equal to an exact multiple of T (the tau* = T operating point)
-    lands on delta = 0 instead of flipping alpha down.
+    cfg may also be any object with ReceiverConfig's fields whose xi and
+    tau are broadcast arrays: q and p then follow xi, alpha (as floats)
+    and delta tau. The floor for alpha is nudged by 1e-12 so that tau at
+    an exact multiple of T (the tau* = T operating point) gives delta = 0.
     """
-    if cfg.sigma > 0.0:
-        q = gaussian_q((1.0 - cfg.xi) / cfg.sigma)
-    else:
-        q = 0.0 if cfg.xi < 1.0 else 1.0
-    if cfg.sigma0 > 0.0:
-        p = gaussian_q(cfg.xi / cfg.sigma0)
-    else:
-        p = 0.0
-    alpha = int(math.floor(cfg.tau / cfg.T + 1e-12))
-    delta = cfg.tau - alpha * cfg.T
-    if delta < 0.0:
-        delta = 0.0
-    return DerivedParams(q=q, p=p, alpha=alpha, delta=delta, T=cfg.T)
+    xi, tau, T = cfg.xi, cfg.tau, cfg.T
+    q = (gaussian_q((1.0 - xi) / cfg.sigma) if cfg.sigma > 0.0
+         else 1.0 - (xi < 1.0))  # a step at xi = 1
+    p = gaussian_q(xi / cfg.sigma0) if cfg.sigma0 > 0.0 else 0.0
+    xp = np if isinstance(tau, np.ndarray) else math
+    alpha = xp.floor(tau / T + 1e-12)
+    delta = tau - alpha * T  # clipped at 0 below, for floats and arrays
+    return DerivedParams(q, p, alpha, (delta + abs(delta)) / 2.0, T)

@@ -1,4 +1,5 @@
 """KL distances between count models and operating-point selection."""
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,10 @@ from pmtcount.design import (KL_GAP_CEILING, ConditionFlags, DesignResult,
 # Frozen high-precision reference: equal-N KL distance at N=100,
 # P0=0.01, P1=0.05.
 KL_100_001_005 = 2.4736149824367605
+
+# sha256 of _random_design_lines(), one line per design.
+RANDOM_DESIGNS_SHA256 = (
+    "072f206ed84b0c3d5b8c746a924222aa5999f1eebca3a51b3aa183fc970f688c")
 
 TEMPLATE = ReceiverConfig(T=0.01, tau=0.01, xi=0.3, sigma=0.2, sigma0=0.02)
 
@@ -459,3 +464,34 @@ PINNED_DESIGNS = [
 def test_design_result_pinned(tmpl, rates, xi_grid, force_full, expected):
     assert select_params(ChannelParams(*rates), tmpl, xi_grid=xi_grid,
                          force_full=force_full) == expected
+
+
+def _random_design_lines(n=150, seed=20261019):
+    """repr(DesignResult), or `type: message` when select_params raises,
+    over n seeded channels and receivers on both paths. Covers lambda0 = 0,
+    sigma = 0 and sigma0 = 0, which the pinned designs above never reach."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for i in range(n):
+        lam0 = 0.0 if rng.random() < 0.25 else rng.uniform(0.05, 3.0)
+        lam1 = lam0 + rng.uniform(0.5, 30.0)
+        T = 1.0 / int(rng.choice([10, 20, 50, 100, 128, 200]))
+        tmpl = ReceiverConfig(T=T, tau=T, xi=0.3,
+                              sigma=float(rng.choice([0.0, 0.1, 0.2, 0.4])),
+                              sigma0=float(rng.choice(
+                                  [0.0, 0.005, 0.02, 0.05, 0.1])))
+        try:
+            lines.append(repr(select_params(ChannelParams(lam0, lam1), tmpl,
+                                            force_full=bool(i % 2))))
+        except ValueError as e:
+            lines.append(f"{type(e).__name__}: {e}")
+    return lines
+
+
+def test_random_designs_pinned():
+    # A refactor of the moment -> binomial -> KL chain keeps every line.
+    lines = _random_design_lines()
+    assert any(line.startswith("DesignResult") for line in lines[::2])
+    assert any(line.startswith("DesignResult") for line in lines[1::2])
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == RANDOM_DESIGNS_SHA256

@@ -23,11 +23,30 @@ class TestExactNoiseless:
 
     @pytest.mark.parametrize("lam", [1e-136, 5e-324])
     def test_rate_below_float_resolution(self, lam):
-        # 1 - e^{-lam T} rounds to 0 here, as the mean does; the adjacent-
-        # window ratio must not divide by it.
+        # 1 - e^{-lam T} computed directly is 0 at both rates. At 1e-136 the
+        # mean is still lam to double precision; at 5e-324 lam T underflows,
+        # the mean is 0 and the adjacent-window ratio must not divide by it.
         cfg = ReceiverConfig(T=0.0078125, tau=0.3, xi=0.3)
         m = moments_exact_noiseless(lam, cfg)
-        assert m.mean == 0.0 and m.variance == 0.0
+        if lam * cfg.T == 0.0:
+            assert m.mean == 0.0 and m.variance == 0.0
+        else:
+            assert m.mean == pytest.approx(lam, rel=1e-14, abs=0.0)
+            assert m.variance == pytest.approx(lam, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("T,tau", [(0.01, 0.02), (0.5, 0.3)])
+    def test_small_rate_mean_matches_series(self, T, tau):
+        # lam' e^{-lam' tau'} to first order in lam, as the mean is on both
+        # regimes (lam' = lam, tau' = tau + T/2 for T <= tau; lam tau / T,
+        # 3T/2 for T > tau). 1 - e^{-x} computed directly keeps about 4
+        # digits here.
+        lam = 1e-12
+        cfg = ReceiverConfig(T=T, tau=tau, xi=0.3)
+        lam_eq, tau_eq = ((lam, tau + T / 2.0) if T <= tau
+                          else (lam * tau / T, 1.5 * T))
+        m = moments_exact_noiseless(lam, cfg)
+        assert m.mean == pytest.approx(lam_eq * (1.0 - lam_eq * tau_eq),
+                                       rel=1e-14, abs=0.0)
 
     def test_fast_sampling_reference(self):
         cfg = ReceiverConfig(T=0.01, tau=0.005, xi=0.3)
