@@ -16,8 +16,8 @@ import numpy as np
 
 from .detector import (_binomial_pair, binom_pmf_support, build_rule,
                        error_prob_analytic)
-from .moments import (BinomialApprox, _bracket, _mean_le, _n_p,
-                      binomial_approx, moments_full)
+from .moments import (BinomialApprox, _bracket, _full, _mean_le, _n_p,
+                      binomial_approx)
 from .params import (ApproximationBreakdownError, ChannelParams,
                      ReceiverConfig, derive_params)
 
@@ -162,8 +162,8 @@ def check_conditions(channel: ChannelParams,
                      cfg: ReceiverConfig) -> ConditionFlags:
     """Evaluate the inequalities licensing the fast tau* = T path."""
     d = derive_params(cfg)
-    m0 = moments_full(channel.lambda0, cfg)
-    m1 = moments_full(channel.lambda1, cfg)
+    m0 = _full(channel.lambda0, cfg, d)
+    m1 = _full(channel.lambda1, cfg, d)
     n_hat0, n_hat1 = m0.mean, m1.mean
     if n_hat0 <= 0.0 or n_hat1 <= n_hat0:
         return ConditionFlags(False, False, False, False,

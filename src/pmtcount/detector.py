@@ -5,11 +5,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .moments import BinomialApprox, binomial_approx, moments_full
+from .moments import BinomialApprox, _full, binomial_approx
 from .params import (ApproximationBreakdownError, ChannelParams,
-                     ReceiverConfig, derive_params)
+                     ReceiverConfig, _elementwise, derive_params)
 from .simulate import simulate_counts_hist
 
 # Renormalization of the real-N binomial PMF must stay below this at a
@@ -25,7 +24,8 @@ def binom_logpmf(n: np.ndarray, approx: BinomialApprox) -> np.ndarray:
     """
     n = np.asarray(n, dtype=float)
     N, P = approx.N, approx.P
-    return (gammaln(N + 1.0) - gammaln(n + 1.0) - gammaln(N - n + 1.0)
+    lg = _elementwise(math.lgamma, np.stack([n + 1.0, N - n + 1.0]))
+    return (math.lgamma(N + 1.0) - lg[0] - lg[1]
             + n * math.log(P) + (N - n) * math.log1p(-P))
 
 
@@ -98,10 +98,11 @@ def ml_threshold_general(approx0: BinomialApprox,
 
 def _binomial_pair(channel: ChannelParams, cfg: ReceiverConfig
                    ) -> tuple[BinomialApprox, BinomialApprox]:
-    """The moment-matched binomials of both hypotheses at (channel, cfg)."""
+    """The moment-matched binomials of both hypotheses at (channel, cfg),
+    from one derive_params(cfg)."""
     d = derive_params(cfg)
-    return (binomial_approx(moments_full(channel.lambda0, cfg), d),
-            binomial_approx(moments_full(channel.lambda1, cfg), d))
+    return (binomial_approx(_full(channel.lambda0, cfg, d), d),
+            binomial_approx(_full(channel.lambda1, cfg, d), d))
 
 
 def build_rule(channel: ChannelParams, cfg: ReceiverConfig) -> MlRule:

@@ -164,8 +164,12 @@ def moments_full(lam: float, cfg: ReceiverConfig) -> CountMoments:
                     + 2 mean^2 [-(tau + T/2) + p delta/(lam' T + p)],
               the last term taken as 0 when p = 0.
     """
+    return _full(lam, cfg, derive_params(cfg))
+
+
+def _full(lam: float, cfg: ReceiverConfig, d: DerivedParams) -> CountMoments:
+    """moments_full with d = derive_params(cfg) already in hand."""
     regime, tau_eq = _frame(lam, cfg)
-    d = derive_params(cfg)
     T, tau, p = cfg.T, cfg.tau, d.p
     lam_p = (1.0 - d.q) * lam
     valid = _in_validity(lam, cfg) and cfg.xi < 1.0

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -18,16 +17,26 @@ _SQRT2 = math.sqrt(2.0)
 _BOLTZMANN = 1.380649e-23
 
 
+def _elementwise(f, x) -> np.ndarray:
+    """The float function f applied to each element of x, as a float array
+    of x's shape: numpy has neither erfc nor log-gamma."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(f, x.ravel().tolist()), float,
+                       x.size).reshape(x.shape)
+
+
 def gaussian_q(x):
     """Gaussian tail probability Q(x) = P(Z > x) for standard normal Z.
 
-    Accepts scalars or arrays. Computed as erfc(x/sqrt(2))/2, accurate to
+    Accepts scalars or arrays. Computed as erfc(x/sqrt(2))/2 with the C
+    library's erfc (`math.erfc`), elementwise on arrays, so an array gives
+    bitwise the values of its elements passed one by one. Accurate to
     better than 1e-12 relative for |x| <= 8 and absolutely beyond; clamps
     to 0 in the far tail (Q(40) underflows).
     """
     if np.isscalar(x):
         return 0.5 * math.erfc(x / _SQRT2)
-    return 0.5 * special.erfc(np.asarray(x, dtype=float) / _SQRT2)
+    return 0.5 * _elementwise(math.erfc, np.asarray(x, dtype=float) / _SQRT2)
 
 
 class ApproximationBreakdownError(ValueError):

@@ -170,11 +170,13 @@ def _draw_batch(lam, cfg: ReceiverConfig | None, rng, n):
         z[near] = rng.normal(0.0, sigma0, np.count_nonzero(near))
         cand = _kernels.cell_keys(_flip_candidates(rng, n * n_samp, r), n_samp)
         at = np.searchsorted(cells, cand)
-        hit = at < np.searchsorted(cells, cand, "right")
+        hit = np.flatnonzero(at < np.searchsorted(cells, cand, "right"))
         dist = np.abs(F[at[hit]] - xi)
+        far = dist >= 6.0 * sigma0
         # q = p where uncovered; near cells have their Normal noise already.
         q = np.full(cand.size, p)
-        q[hit] = np.where(dist < 6.0 * sigma0, 0.0, gaussian_q(dist / sigma0))
+        q[hit] = 0.0
+        q[hit[far]] = gaussian_q(dist[far] / sigma0)
         return z, cand[rng.random(cand.size) * r < q]
     return row, times, amps, noise
 

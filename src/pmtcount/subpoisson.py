@@ -11,9 +11,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, lambertw
 
-from .params import ApproximationBreakdownError, check_rate, check_tau
+from .params import (ApproximationBreakdownError, _elementwise, check_rate,
+                     check_tau)
 
 # Beyond this the alternating series loses digits faster than exact
 # summation recovers; moments stay closed-form for all inputs.
@@ -71,7 +71,7 @@ def subpoisson_pmf(lam: float, tau: float) -> SubPoissonDist:
     if abs(total - 1.0) > _NORMALIZATION_TOL or np.any(pmf < 0.0):
         raise SeriesBreakdownError(
             f"PMF series breakdown at lambda={lam}, tau={tau}: "
-            f"sum={total!r}, min={pmf.min()!r}")
+            f"sum={total!r}, min={float(pmf.min())!r}")
     return SubPoissonDist(lam=lam, tau=tau, M=M, pmf=pmf)
 
 
@@ -92,7 +92,7 @@ def _series(lam: float, tau: float, M: int) -> np.ndarray:
     log_base[0] = 0.0
     log_base[avail < 0.0] = -np.inf
 
-    lg = gammaln(s + 1.0)
+    lg = _elementwise(math.lgamma, s + 1.0)
     # Order-s terms (n + m = s) peak at the balanced split, log gamma being
     # convex; past the last order S whose peak clears -760, exp gives 0.0.
     peak = log_base - lg[s // 2] - lg[s - s // 2]
@@ -157,4 +157,34 @@ def invert_moments(mean: float, variance: float) -> tuple[float, float]:
         raise ApproximationBreakdownError(
             f"no lambda' with lambda'*tau' <= 1 reproduces mean={mean} "
             f"at tau'={tau_eq}: mean*tau' = {x} exceeds 1/e")
-    return float(-lambertw(-x).real / tau_eq), tau_eq
+    return -_lambert_w0(-x) / tau_eq, tau_eq
+
+
+def _lambert_w0(z: float) -> float:
+    """Principal branch W0(z) of the Lambert W function on [-1/e, 0]:
+    the root w in [-1, 0] of w e^w = z.
+
+    Halley's iteration from the branch-point series
+    w = -1 + p - p^2/3 + 11 p^3/72, p = sqrt(2(e z + 1)), near -1/e, and
+    from w = z - z^2 elsewhere; it stops once a step moves w by at most
+    1e-8 relative, which the cubic convergence leaves at rounding level.
+    A z that rounds to or below -1/e (so that e z + 1 <= 0) gives -1.
+    """
+    if z == 0.0:
+        return z
+    p2 = 2.0 * (math.e * z + 1.0)
+    if p2 <= 0.0:
+        return -1.0
+    if p2 < 0.6:
+        p = math.sqrt(p2)
+        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * 11.0 / 72.0))
+    else:
+        w = z - z * z
+    for _ in range(20):
+        ew = math.exp(w)
+        f = w * ew - z
+        step = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        w -= step
+        if abs(step) <= 1e-8 * abs(w):
+            break
+    return w

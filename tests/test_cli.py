@@ -2,10 +2,16 @@
 import csv
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pmtcount
 from pmtcount import (ApproximationBreakdownError, ChannelParams,
                       DegenerateKlError, ReceiverConfig, SeriesBreakdownError,
                       ber_mc, cli, detector, moments)
@@ -41,6 +47,14 @@ class TestPmfCommand:
         assert main(["pmf", "--lambda", "80", "--tau", "0.01",
                      "-o", str(out)]) == EXIT_BREAKDOWN
         assert not out.exists()
+
+    def test_series_breakdown_message_prints_plain_floats(self, capsys):
+        assert main(["pmf", "--lambda", "17", "--tau", "0.001"]) == \
+            EXIT_BREAKDOWN
+        assert re.fullmatch(
+            r"pmtcount: approximation breakdown: PMF series breakdown at "
+            r"lambda=17\.0, tau=0\.001: sum=\d\.\d+, min=0\.0\n",
+            capsys.readouterr().err)
 
 
 class TestMomentsCommand:
@@ -465,3 +479,36 @@ def test_threshold_beyond_binomial_support_is_breakdown(tmp_path):
                  "--sigma", "0.3", "--sigma0", "0.11924391515404767",
                  "-o", str(out)]) == EXIT_BREAKDOWN
     assert not out.exists()
+
+
+def test_import_and_every_command_leave_scipy_unloaded(tmp_path):
+    # pmtcount's runtime needs numpy only; scipy.special alone was half of
+    # the import time. One in-process call of each command, then no scipy
+    # module may be loaded.
+    hist = tmp_path / "hist.csv"
+    hist.write_text("n,count\n0,2\n1,5\n2,3\n")
+    runs = [["pmf", "--lambda", "5", "--tau", "0.02"],
+            ["moments", "--preset", "fig6", "--xi", "0.3"],
+            ["fit", "--input", str(hist)],
+            ["sweep-sampling", "--preset", "fig3", "--values", "0.01"],
+            ["sweep-noise", "--preset", "fig5", "--values", "0.2"],
+            ["approx-params", "--preset", "fig6", "--values", "0.3"],
+            ["ber", "--preset", "fig10", "--values", "0.3"],
+            ["ber", "--preset", "fig9", "--values", "0.02",
+             "--mc-fitted-rule"],
+            ["design", "--preset", "fig11"]]
+    assert {argv[0] for argv in runs} == cli._COMMANDS.keys()
+    runs = [argv + ["-o", str(tmp_path / f"{i}.csv")]
+            + (["--trials", "2000"] if argv[0] in cli._SWEEPS else [])
+            for i, argv in enumerate(runs)]
+    code = ("import sys, pmtcount.cli as c; "
+            f"codes = [c.main(a) for a in {runs!r}]; "
+            "loaded = sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')); "
+            "print(codes, loaded[:5]); "
+            "sys.exit(bool(loaded) or any(codes))")
+    src = str(Path(pmtcount.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

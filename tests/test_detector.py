@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from pmtcount import (BinomialApprox, ChannelParams, ReceiverConfig, ber_mc,
                       binomial_approx, build_rule, build_rule_from_fit,
@@ -21,6 +22,16 @@ class TestBinomPmf:
         ref = np.array([math.comb(12, k) * 0.3 ** k * 0.7 ** (12 - k)
                         for k in n])
         assert np.allclose(np.exp(binom_logpmf(n, b)), ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("N,P", [(33.3, 0.2), (1.5, 0.5), (4.0, 1e-3),
+                                     (1234.56, 0.9)])
+    def test_log_gamma_matches_scipy_gammaln(self, N, P):
+        n = np.arange(int(N) + 1)
+        ref = (gammaln(N + 1.0) - gammaln(n + 1.0) - gammaln(N - n + 1.0)
+               + n * math.log(P) + (N - n) * math.log1p(-P))
+        got = binom_logpmf(n, BinomialApprox(N=N, P=P))
+        scale = gammaln(N + 1.0) + 1.0
+        assert np.all(np.abs(got - ref) <= 8.0 * np.finfo(float).eps * scale)
 
     def test_renormalization_gap_small_at_operating_point(self):
         b0 = binomial_approx(moments_full(1.0, OPERATING_CFG),

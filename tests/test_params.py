@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from pmtcount import (ChannelParams, ReceiverConfig, derive_params,
                       gaussian_q, gen_arrivals, moments_full,
@@ -37,8 +38,17 @@ class TestGaussianQ:
         assert np.all(np.diff(q) < 0.0)
 
     def test_scalar_and_array_agree(self):
-        assert gaussian_q(np.array([1.0]))[0] == pytest.approx(
-            gaussian_q(1.0), rel=1e-15)
+        # One implementation: an array gives bitwise its elements' values.
+        x = np.concatenate([np.linspace(-40.0, 40.0, 4001),
+                            [0.0, -0.0, 5e-324, 1e300, np.inf, -np.inf]])
+        q = gaussian_q(x.reshape(-1, 1)).ravel()
+        assert q.tobytes() == np.array([gaussian_q(v) for v in x]).tobytes()
+        assert gaussian_q(np.array(1.0)).shape == ()
+
+    def test_matches_scipy_erfc(self):
+        x = np.linspace(-8.0, 8.0, 1601)
+        ref = 0.5 * special.erfc(x / math.sqrt(2.0))
+        assert np.allclose(gaussian_q(x), ref, rtol=1e-14, atol=0.0)
 
 
 class TestThermalSigma:
