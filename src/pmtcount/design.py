@@ -278,6 +278,14 @@ def default_tau_grid(cfg: ReceiverConfig) -> np.ndarray:
     return taus[taus < 1.0]
 
 
+def _finite(grid, name: str) -> np.ndarray:
+    """A user grid as a float array; ValueError on NaN or infinite entries."""
+    grid = np.asarray(grid, dtype=float)
+    if not np.isfinite(grid).all():
+        raise ValueError(f"{name} grid entries must be finite")
+    return grid
+
+
 def select_params(channel: ChannelParams, cfg_template: ReceiverConfig,
                   xi_grid=None, tau_grid=None,
                   force_full: bool = False) -> DesignResult:
@@ -289,17 +297,20 @@ def select_params(channel: ChannelParams, cfg_template: ReceiverConfig,
     general-N KL over the (xi, tau) grid; breakdown points are skipped
     and counted. The grid is evaluated in one numpy pass; the scalar chain
     (the batched pass's oracle) refines and reports the chosen point.
+    A user grid with a NaN or infinite entry raises ValueError.
     """
+    T = cfg_template.T
     xi_grid = default_xi_grid(cfg_template) if xi_grid is None \
-        else np.asarray(xi_grid, dtype=float)
-    tau_grid = default_tau_grid(cfg_template) if tau_grid is None \
-        else np.asarray(tau_grid, dtype=float)
+        else _finite(xi_grid, "xi")
+    if tau_grid is None:
+        tau_grid = default_tau_grid(cfg_template)
+    else:
+        tau_grid = _finite(tau_grid, "tau")
+        k = tau_grid / T
+        if np.any((np.abs(k - np.round(k)) > 1e-9) | ((0.0 < k) & (k < 1.0))):
+            raise ValueError("tau grid must contain integer multiples of T")
     if xi_grid.size == 0 or tau_grid.size == 0:
         raise ValueError("grids must be nonempty")
-    T = cfg_template.T
-    k = tau_grid / T
-    if np.any((np.abs(k - np.round(k)) > 1e-9) | ((0.0 < k) & (k < 1.0))):
-        raise ValueError("tau grid must contain integer multiples of T")
 
     def cfg_at(xi, tau):
         return ReceiverConfig(T=T, tau=float(tau), xi=float(xi),
@@ -313,7 +324,10 @@ def select_params(channel: ChannelParams, cfg_template: ReceiverConfig,
                             conditions=cond, predicted_ber=0.5,
                             fast_path=False, separable=False)
 
-    mid_cfg = cfg_at(np.median(xi_grid), T)
+    xi_sorted, mid = np.sort(xi_grid, axis=None), xi_grid.size // 2
+    # np.median, bitwise: the middle value or the mean of the two.
+    mid_cfg = cfg_at(xi_sorted[mid] if xi_grid.size % 2
+                     else (xi_sorted[mid - 1] + xi_sorted[mid]) / 2.0, T)
     cond_mid = check_conditions(channel, mid_cfg)
     fast = (not force_full and cond_mid.kl_asymmetry
             and cond_mid.holding_time_ok and cond_mid.p_bound)

@@ -7,8 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import BinomialApprox, _full, binomial_approx
+from .moments import binom_logpmf  # noqa: F401  (re-exported)
 from .params import (ApproximationBreakdownError, ChannelParams,
-                     ReceiverConfig, _elementwise, derive_params)
+                     ReceiverConfig, derive_params)
 from .simulate import simulate_counts_hist
 
 # Renormalization of the real-N binomial PMF must stay below this at a
@@ -16,29 +17,15 @@ from .simulate import simulate_counts_hist
 RENORM_TOL = 1e-6
 
 
-def binom_logpmf(n: np.ndarray, approx: BinomialApprox) -> np.ndarray:
-    """Log PMF of Binomial(N, P) with real-valued N via log-gamma.
-
-    Defined on integer n in [0, floor(N)]; not renormalized (see
-    binom_pmf_support for the renormalized mass).
-    """
-    n = np.asarray(n, dtype=float)
-    N, P = approx.N, approx.P
-    lg = _elementwise(math.lgamma, np.stack([n + 1.0, N - n + 1.0]))
-    return (math.lgamma(N + 1.0) - lg[0] - lg[1]
-            + n * math.log(P) + (N - n) * math.log1p(-P))
-
-
 def binom_pmf_support(approx: BinomialApprox) -> tuple[np.ndarray, float]:
     """Renormalized PMF over n = 0..floor(N) and the renormalization gap.
 
     Returns (pmf, |Z - 1|) where Z is the unnormalized mass; the gap must
-    be small (< RENORM_TOL) for the approximation to be trustworthy.
+    be small (< RENORM_TOL) for the approximation to be trustworthy. The
+    PMF is computed once per approx and shared, so it is read-only: copy
+    it before writing.
     """
-    support = np.arange(int(math.floor(approx.N)) + 1)
-    pmf = np.exp(binom_logpmf(support, approx))
-    z = pmf.sum()
-    return pmf / z, abs(z - 1.0)
+    return approx.support_pmf
 
 
 @dataclass(frozen=True)
@@ -90,8 +77,8 @@ def ml_threshold_general(approx0: BinomialApprox,
     exact ML rule boundary.
     """
     n_max = int(math.floor(min(approx0.N, approx1.N)))
-    support = np.arange(n_max + 1)
-    llr = binom_logpmf(support, approx1) - binom_logpmf(support, approx0)
+    llr = (approx1.support_logpmf[:n_max + 1]
+           - approx0.support_logpmf[:n_max + 1])
     below = np.nonzero(llr < 0.0)[0]
     return int(below[-1]) if below.size else 0
 

@@ -10,9 +10,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .params import (ApproximationBreakdownError, DerivedParams,
-                     ReceiverConfig, check_rate, derive_params)
+                     ReceiverConfig, _elementwise, check_rate, derive_params)
 
 
 class Regime(enum.Enum):
@@ -43,7 +46,11 @@ class CountMoments:
 
 @dataclass(frozen=True)
 class BinomialApprox:
-    """Binomial(N, P) moment-matched to a count distribution; N stays real."""
+    """Binomial(N, P) moment-matched to a count distribution; N stays real.
+
+    Its log PMF and renormalized PMF over n = 0..floor(N) are computed on
+    first use and shared, read-only, by every later reader.
+    """
     N: float
     P: float
 
@@ -54,6 +61,36 @@ class BinomialApprox:
     @property
     def variance(self) -> float:
         return self.N * self.P * (1.0 - self.P)
+
+    @cached_property
+    def support_logpmf(self) -> np.ndarray:
+        """binom_logpmf over n = 0..floor(N)."""
+        logpmf = binom_logpmf(np.arange(int(math.floor(self.N)) + 1), self)
+        logpmf.flags.writeable = False
+        return logpmf
+
+    @cached_property
+    def support_pmf(self) -> tuple[np.ndarray, float]:
+        """The PMF over n = 0..floor(N) divided by its mass Z, and the
+        renormalization gap |Z - 1|."""
+        pmf = np.exp(self.support_logpmf)
+        z = pmf.sum()
+        pmf /= z
+        pmf.flags.writeable = False
+        return pmf, abs(z - 1.0)
+
+
+def binom_logpmf(n: np.ndarray, approx: BinomialApprox) -> np.ndarray:
+    """Log PMF of Binomial(N, P) with real-valued N via log-gamma.
+
+    Defined on integer n in [0, floor(N)]; not renormalized (see
+    detector.binom_pmf_support for the renormalized mass).
+    """
+    n = np.asarray(n, dtype=float)
+    N, P = approx.N, approx.P
+    lg = _elementwise(math.lgamma, np.stack([n + 1.0, N - n + 1.0]))
+    return (math.lgamma(N + 1.0) - lg[0] - lg[1]
+            + n * math.log(P) + (N - n) * math.log1p(-P))
 
 
 def _frame(lam: float, cfg: ReceiverConfig) -> tuple[Regime, float]:

@@ -10,7 +10,9 @@ from pmtcount import (BinomialApprox, ChannelParams, DegenerateKlError,
                       ReceiverConfig, binomial_approx, check_conditions,
                       derive_params, gaussian_q, kl_approx_01, kl_equal_n,
                       kl_gap_bound, kl_general_n, moments_full, select_params)
-from pmtcount import design
+from pmtcount import (MlRule, build_rule_from_fit, design,
+                      error_prob_analytic, moments)
+from pmtcount.detector import binom_logpmf
 from pmtcount.design import (KL_GAP_CEILING, ConditionFlags, DesignResult,
                              default_tau_grid, default_xi_grid)
 
@@ -248,6 +250,88 @@ class TestSelectParams:
         chan = ChannelParams(lambda0=0.3, lambda1=9.3)
         with pytest.raises(ValueError):
             select_params(chan, TEMPLATE, tau_grid=[0.015])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grids", [
+        dict(tau_grid=[0.01, math.nan]), dict(tau_grid=[0.01, math.inf]),
+        dict(xi_grid=[0.2, 0.4, math.inf]), dict(xi_grid=[0.2, math.nan])],
+        ids=["tau_nan", "tau_inf", "xi_inf", "xi_nan"])
+    def test_rejects_non_finite_grid_entries(self, grids):
+        # Not skipped as invalid points, and no warning on the way.
+        chan = ChannelParams(lambda0=1.0, lambda1=12.0)
+        with pytest.raises(ValueError, match="grid entries must be finite"):
+            select_params(chan, TEMPLATE, force_full=True, **grids)
+
+    @pytest.mark.parametrize("xi_grid", [[0.4, 0.1, 0.3], [0.7, 0.1, 0.3, 0.2]])
+    def test_fast_path_decision_at_grid_median(self, xi_grid, monkeypatch):
+        # The fast-path conditions are checked at np.median(xi_grid).
+        seen = []
+        check = design.check_conditions
+        monkeypatch.setattr(design, "check_conditions",
+                            lambda chan, cfg: seen.append(cfg.xi)
+                            or check(chan, cfg))
+        select_params(ChannelParams(0.3, 9.3), TEMPLATE, xi_grid=xi_grid)
+        assert seen[0] == float(np.median(xi_grid))
+
+    def test_chosen_point_evaluates_each_pmf_once(self, monkeypatch):
+        # At fig11 the ML threshold, the analytic BER and the KL share one
+        # log PMF per hypothesis.
+        calls = []
+        logpmf = moments.binom_logpmf
+        monkeypatch.setattr(moments, "binom_logpmf",
+                            lambda n, b: calls.append(b) or logpmf(n, b))
+        select_params(ChannelParams(1.0, 12.0), TEMPLATE, force_full=True)
+        assert len(calls) == 2 and calls[0] is not calls[1]
+
+    def test_chosen_point_matches_fresh_binomials(self):
+        # Rule, BER and KL equal bitwise those from binomials built afresh
+        # and read in another order, and the BER the plain PMF formula.
+        tmpl, chan, xi_grid = ORACLE_CASES["fig11"]
+        result = select_params(chan, tmpl, xi_grid=xi_grid, force_full=True)
+        cfg = ReceiverConfig(T=tmpl.T, tau=result.tau_star,
+                             xi=result.xi_star, sigma=tmpl.sigma,
+                             sigma0=tmpl.sigma0)
+
+        def fresh():
+            return [binomial_approx(moments_full(lam, cfg),
+                                    derive_params(cfg))
+                    for lam in (chan.lambda0, chan.lambda1)]
+
+        b0, b1 = fresh()
+        assert (result.kl_01, result.kl_10) == kl_general_n(b0, b1)
+        b0, b1 = fresh()
+        n_th = build_rule_from_fit(*fresh()).n_th
+        assert error_prob_analytic(MlRule(n_th, b0, b1)) == \
+            result.predicted_ber
+
+        n = np.arange(int(min(b0.N, b1.N)) + 1)
+        assert n_th == np.nonzero(binom_logpmf(n, b1)
+                                  < binom_logpmf(n, b0))[0][-1]
+
+        def plain_pmf(b):
+            pmf = np.exp(binom_logpmf(np.arange(int(b.N) + 1), b))
+            return pmf / pmf.sum()
+
+        assert 0.5 * (plain_pmf(b1)[:n_th + 1].sum()
+                      + plain_pmf(b0)[n_th + 1:].sum()) == \
+            result.predicted_ber
+
+    def test_shared_pmf_at_unequal_trial_counts(self, monkeypatch):
+        # Unequal integer parts: the KL expectation reads the same PMFs as
+        # the rule and the BER, and gives what fresh binomials give.
+        calls = []
+        logpmf = moments.binom_logpmf
+        monkeypatch.setattr(moments, "binom_logpmf",
+                            lambda n, b: calls.append(b) or logpmf(n, b))
+        pair = (BinomialApprox(36.2, 0.04), BinomialApprox(33.7, 0.3))
+        rule = build_rule_from_fit(*pair)
+        kl = kl_general_n(*pair)
+        ber = error_prob_analytic(rule)
+        assert len(calls) == 2
+        fresh = [BinomialApprox(b.N, b.P) for b in pair]
+        assert kl_general_n(*fresh) == kl
+        assert error_prob_analytic(MlRule(rule.n_th, *fresh)) == ber
+        assert build_rule_from_fit(*fresh).n_th == rule.n_th
 
 
 # Receivers for the batched-grid oracle: fig11; a T = 0.02 receiver; and

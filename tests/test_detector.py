@@ -9,6 +9,7 @@ from pmtcount import (BinomialApprox, ChannelParams, ReceiverConfig, ber_mc,
                       binomial_approx, build_rule, build_rule_from_fit,
                       classify, derive_params, error_prob_analytic,
                       moments_full, ml_threshold, ml_threshold_general)
+from pmtcount import moments
 from pmtcount.detector import RENORM_TOL, binom_logpmf, binom_pmf_support
 
 OPERATING_CFG = ReceiverConfig(T=0.01, tau=0.01, xi=0.3, sigma=0.2,
@@ -39,6 +40,36 @@ class TestBinomPmf:
         pmf, gap = binom_pmf_support(b0)
         assert gap < RENORM_TOL
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_shared_arrays_are_read_only(self):
+        # Every reader gets the same arrays, so none may write to them.
+        b = BinomialApprox(N=33.3, P=0.2)
+        pmf, _ = binom_pmf_support(b)
+        assert binom_pmf_support(b)[0] is pmf
+        for shared in (pmf, b.support_logpmf):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                shared *= 2.0
+        n = np.arange(34)
+        assert np.array_equal(b.support_logpmf, binom_logpmf(n, b))
+        unnormalized = np.exp(binom_logpmf(n, b))
+        assert np.array_equal(pmf, unnormalized / unnormalized.sum())
+
+    def test_rule_and_error_evaluate_each_pmf_once(self, monkeypatch):
+        # A ber row's build_rule + error_prob_analytic: one log PMF per
+        # hypothesis, shared by the threshold scan and the error sum.
+        calls = []
+
+        def counted(n, approx):
+            calls.append(approx)
+            return binom_logpmf(n, approx)
+
+        monkeypatch.setattr(moments, "binom_logpmf", counted)
+        rule = build_rule(ChannelParams(lambda0=1.0, lambda1=12.0),
+                          OPERATING_CFG)
+        error_prob_analytic(rule)
+        assert [id(b) for b in calls] == [id(rule.approx1), id(rule.approx0)]
 
 
 class TestThreshold:
