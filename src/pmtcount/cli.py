@@ -25,8 +25,7 @@ from .detector import (ber_mc, build_rule, build_rule_from_fit,
                        error_prob_analytic)
 from .moments import (binomial_approx, fit_binomial, moments_approx_noiseless,
                       moments_exact_noiseless, moments_full, moments_shot)
-from .params import (ApproximationBreakdownError, ChannelParams,
-                     ReceiverConfig, derive_params)
+from .params import ApproximationBreakdownError, ChannelParams, ReceiverConfig
 from .simulate import hist_moments, simulate_counts_hist
 from .subpoisson import invert_moments, subpoisson_pmf
 
@@ -244,7 +243,7 @@ def _equiv_row(model):
 def _binomial_row(args, point, key):
     """Row builder: theory binomial (N, P) beside the MC-fitted one."""
     cfg = _receiver(args, **point)
-    b = binomial_approx(moments_full(args.lam, cfg), derive_params(cfg))
+    b = binomial_approx(moments_full(args.lam, cfg), cfg.derived)
     fit = fit_binomial(*_mc_moments(args, args.lam, cfg, key))
     return b.N, b.P, fit.N, fit.P
 

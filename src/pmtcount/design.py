@@ -16,8 +16,8 @@ import numpy as np
 
 from .detector import (_binomial_pair, binom_pmf_support, build_rule,
                        error_prob_analytic)
-from .moments import (BinomialApprox, _bracket, _full, _mean_le, _n_p,
-                      binomial_approx)
+from .moments import (BinomialApprox, _bracket, _mean_le, _n_p,
+                      binomial_approx, moments_full)
 from .params import (ApproximationBreakdownError, ChannelParams,
                      ReceiverConfig, derive_params)
 
@@ -84,14 +84,11 @@ def _kl_directed(ba: BinomialApprox, bb: BinomialApprox) -> tuple[float, float]:
     if ks.size == 0:
         return base, 0.0
     pmf_a, _ = binom_pmf_support(ba)
-    n = np.arange(pmf_a.size)
-    ok = n[:, None] < ks[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = ks[None, :] / (ks[None, :] - n[:, None]).astype(float)
-    log_sum = np.where(ok, np.log(np.where(ok, ratio, 1.0)), 0.0).sum(axis=1)
-    row_ok = ok.all(axis=1)
-    excluded = float(pmf_a[~row_ok].sum())
-    expectation = float(pmf_a[row_ok] @ log_sum[row_ok])
+    # Only rows n < ks[0] have every term; the rest are excluded mass.
+    n = np.arange(min(pmf_a.size, ks[0]))
+    log_sum = np.log(ks[None, :] / (ks[None, :] - n[:, None])).sum(axis=1)
+    excluded = float(pmf_a[n.size:].sum())
+    expectation = float(pmf_a[:n.size] @ log_sum)
     if Na < Nb:
         expectation = -expectation
     return base + expectation, excluded
@@ -161,9 +158,9 @@ def kl_gap_bound(lambda0p: float, lambda1p: float, tau: float, T: float,
 def check_conditions(channel: ChannelParams,
                      cfg: ReceiverConfig) -> ConditionFlags:
     """Evaluate the inequalities licensing the fast tau* = T path."""
-    d = derive_params(cfg)
-    m0 = _full(channel.lambda0, cfg, d)
-    m1 = _full(channel.lambda1, cfg, d)
+    d = cfg.derived
+    m0 = moments_full(channel.lambda0, cfg)
+    m1 = moments_full(channel.lambda1, cfg)
     n_hat0, n_hat1 = m0.mean, m1.mean
     if n_hat0 <= 0.0 or n_hat1 <= n_hat0:
         return ConditionFlags(False, False, False, False,
@@ -230,7 +227,8 @@ class DesignResult:
 def _binomial_grid(lam, cfg, xi, tau):
     """moments_full -> binomial_approx's (N, P) at broadcast (lam, xi, tau),
     tau >= T, and a mask that is False where that chain would raise."""
-    d = derive_params(SimpleNamespace(**vars(cfg) | dict(xi=xi, tau=tau)))
+    d = derive_params(SimpleNamespace(T=cfg.T, tau=tau, xi=xi, sigma=cfg.sigma,
+                                      sigma0=cfg.sigma0))
     tau_eq = tau + cfg.T / 2.0
     lam_p = (1.0 - d.q) * lam
     mean = _mean_le(lam_p, d.p, tau, cfg.T, np)
@@ -317,18 +315,15 @@ def select_params(channel: ChannelParams, cfg_template: ReceiverConfig,
                               sigma=cfg_template.sigma,
                               sigma0=cfg_template.sigma0)
 
-    if channel.lambda_s == 0.0:
-        cfg = cfg_at(xi_grid[xi_grid.size // 2], T)
-        cond = check_conditions(channel, cfg)
-        return DesignResult(xi_star=cfg.xi, tau_star=T, kl_01=0.0, kl_10=0.0,
-                            conditions=cond, predicted_ber=0.5,
-                            fast_path=False, separable=False)
-
     xi_sorted, mid = np.sort(xi_grid, axis=None), xi_grid.size // 2
     # np.median, bitwise: the middle value or the mean of the two.
     mid_cfg = cfg_at(xi_sorted[mid] if xi_grid.size % 2
                      else (xi_sorted[mid - 1] + xi_sorted[mid]) / 2.0, T)
     cond_mid = check_conditions(channel, mid_cfg)
+    if channel.lambda_s == 0.0:
+        return DesignResult(xi_star=mid_cfg.xi, tau_star=T, kl_01=0.0,
+                            kl_10=0.0, conditions=cond_mid, predicted_ber=0.5,
+                            fast_path=False, separable=False)
     fast = (not force_full and cond_mid.kl_asymmetry
             and cond_mid.holding_time_ok and cond_mid.p_bound)
 

@@ -6,10 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import BinomialApprox, _full, binomial_approx
+from .moments import BinomialApprox, binomial_approx, moments_full
 from .moments import binom_logpmf  # noqa: F401  (re-exported)
-from .params import (ApproximationBreakdownError, ChannelParams,
-                     ReceiverConfig, derive_params)
+from .params import ApproximationBreakdownError, ChannelParams, ReceiverConfig
 from .simulate import simulate_counts_hist
 
 # Renormalization of the real-N binomial PMF must stay below this at a
@@ -85,11 +84,9 @@ def ml_threshold_general(approx0: BinomialApprox,
 
 def _binomial_pair(channel: ChannelParams, cfg: ReceiverConfig
                    ) -> tuple[BinomialApprox, BinomialApprox]:
-    """The moment-matched binomials of both hypotheses at (channel, cfg),
-    from one derive_params(cfg)."""
-    d = derive_params(cfg)
-    return (binomial_approx(_full(channel.lambda0, cfg, d), d),
-            binomial_approx(_full(channel.lambda1, cfg, d), d))
+    """The moment-matched binomials of both hypotheses at (channel, cfg)."""
+    return (binomial_approx(moments_full(channel.lambda0, cfg), cfg.derived),
+            binomial_approx(moments_full(channel.lambda1, cfg), cfg.derived))
 
 
 def build_rule(channel: ChannelParams, cfg: ReceiverConfig) -> MlRule:

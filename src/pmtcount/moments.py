@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .params import (ApproximationBreakdownError, DerivedParams,
-                     ReceiverConfig, _elementwise, check_rate, derive_params)
+                     ReceiverConfig, _elementwise, check_rate)
 
 
 class Regime(enum.Enum):
@@ -124,7 +124,7 @@ def moments_exact_noiseless(lam: float, cfg: ReceiverConfig) -> CountMoments:
     else:
         denom = -math.expm1(-lam * T)
         mean = math.exp(-lam * tau) * denom / T
-        d = derive_params(cfg)
+        d = cfg.derived
         ratio = -math.expm1(-lam * (T - d.delta)) / denom if denom else 0.0
         bracket = ((1.0 - (d.alpha + 1) * T) * (1.0 - (d.alpha + 2) * T)
                    + 2.0 * T * (1.0 - (d.alpha + 1) * T) * ratio)
@@ -166,7 +166,7 @@ def moments_shot(lam: float, cfg: ReceiverConfig) -> CountMoments:
     (1-q) lam (T <= tau) or (1-q) lam tau / T (T > tau); the equivalent
     dead time is unchanged.
     """
-    thinned = (1.0 - derive_params(cfg).q) * lam
+    thinned = (1.0 - cfg.derived.q) * lam
     return _equivalent(lam, thinned, cfg, cfg.xi < 1.0)
 
 
@@ -201,12 +201,8 @@ def moments_full(lam: float, cfg: ReceiverConfig) -> CountMoments:
                     + 2 mean^2 [-(tau + T/2) + p delta/(lam' T + p)],
               the last term taken as 0 when p = 0.
     """
-    return _full(lam, cfg, derive_params(cfg))
-
-
-def _full(lam: float, cfg: ReceiverConfig, d: DerivedParams) -> CountMoments:
-    """moments_full with d = derive_params(cfg) already in hand."""
     regime, tau_eq = _frame(lam, cfg)
+    d = cfg.derived
     T, tau, p = cfg.T, cfg.tau, d.p
     lam_p = (1.0 - d.q) * lam
     valid = _in_validity(lam, cfg) and cfg.xi < 1.0

@@ -80,6 +80,9 @@ class ReceiverConfig:
     xi      quantizer decision threshold, normalized to unit pulse height.
     sigma   std dev of the random pulse amplitude (shot noise), >= 0.
     sigma0  std dev of the additive per-sample thermal noise, >= 0.
+
+    `derived` holds derive_params(self), computed once at construction;
+    it is not a field, so equality, hashing and repr ignore it.
     """
     T: float
     tau: float
@@ -99,6 +102,7 @@ class ReceiverConfig:
                              "and finite")
         if not (0.0 <= self.sigma < math.inf and 0.0 <= self.sigma0 < math.inf):
             raise ValueError("noise std devs must be nonnegative and finite")
+        object.__setattr__(self, "derived", derive_params(self))
 
     @property
     def n_samples(self) -> int:

@@ -25,8 +25,7 @@ from functools import cache, partial
 import numpy as np
 
 from . import _kernels
-from .params import (ReceiverConfig, check_rate, check_tau, derive_params,
-                     gaussian_q)
+from .params import ReceiverConfig, check_rate, check_tau, gaussian_q
 
 BATCH_SIZE = 16384
 # Epoch keys row << 49 | epoch fit int64 while rows take at most 14 bits.
@@ -159,7 +158,7 @@ def _draw_batch(lam, cfg: ReceiverConfig | None, rng, n):
     else:
         amps = np.ones(row.size)
     n_samp, xi, sigma0 = cfg.n_samples, cfg.xi, cfg.sigma0
-    p = derive_params(cfg).p
+    p = cfg.derived.p
     r = max(gaussian_q(6.0), p)
 
     def noise(cells, F):

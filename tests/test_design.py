@@ -1,6 +1,7 @@
 """KL distances between count models and operating-point selection."""
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from pmtcount import (BinomialApprox, ChannelParams, DegenerateKlError,
                       ReceiverConfig, binomial_approx, check_conditions,
                       derive_params, gaussian_q, kl_approx_01, kl_equal_n,
                       kl_gap_bound, kl_general_n, moments_full, select_params)
-from pmtcount import (MlRule, build_rule_from_fit, design,
+from pmtcount import (MlRule, build_rule_from_fit, design, detector,
                       error_prob_analytic, moments)
 from pmtcount.detector import binom_logpmf
 from pmtcount.design import (KL_GAP_CEILING, ConditionFlags, DesignResult,
@@ -105,6 +106,20 @@ class TestGeneralN:
                 d01, d10 = kl_general_n(b0, b1)
                 assert d01 >= 0.0 and d10 >= 0.0
 
+    def test_expectation_builds_only_complete_rows(self):
+        # N0 = 3000.5 against N1 = 30.5: only the 31 rows n < 31 of the
+        # log-ratio matrix are used, so none of its 3001 x 2970 is built.
+        b0 = BinomialApprox(3000.5, 1e-3)
+        b1 = BinomialApprox(30.5, 0.1)
+        tracemalloc.start()
+        try:
+            d01, d10 = kl_general_n(b0, b1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(d01) and math.isfinite(d10)
+        assert peak < 8e6
+
 
 class TestApprox01:
     def test_zero_at_identical_models(self):
@@ -193,6 +208,16 @@ class TestConditions:
         flags = check_conditions(chan, TEMPLATE)
         assert not flags.kl_asymmetry
 
+    def test_asymmetry_fails_without_positive_denominator(self):
+        # 1 - 2 tau' n_hat1 = -0.225 here: no asymmetry margin exists.
+        cfg = ReceiverConfig(T=0.01, tau=0.04, xi=0.2, sigma=0.1, sigma0=0.2)
+        flags = check_conditions(ChannelParams(0.5, 2.0), cfg)
+        assert not flags.kl_asymmetry
+        assert flags.kl_asymmetry_margin == -math.inf
+        assert all(math.isfinite(v) for v in (
+            flags.holding_time_margin, flags.p_bound_margin,
+            flags.kl_gap_value))
+
 
 class TestSelectParams:
     def test_fast_path_fixes_holding_time(self):
@@ -211,6 +236,18 @@ class TestSelectParams:
         result = select_params(chan, TEMPLATE)
         assert not result.separable
         assert result.predicted_ber == 0.5
+
+    @pytest.mark.parametrize("xi_grid", [None, [0.7, 0.1, 0.3]],
+                             ids=["default", "unsorted"])
+    def test_degenerate_channel_reports_grid_median(self, xi_grid):
+        # xi* is the point the conditions were checked at: the median.
+        chan = ChannelParams(lambda0=5.0, lambda1=5.0)
+        result = select_params(chan, TEMPLATE, xi_grid=xi_grid)
+        grid = default_xi_grid(TEMPLATE) if xi_grid is None else xi_grid
+        assert result.xi_star == float(np.median(grid))
+        cfg = ReceiverConfig(T=TEMPLATE.T, tau=TEMPLATE.T, xi=result.xi_star,
+                             sigma=TEMPLATE.sigma, sigma0=TEMPLATE.sigma0)
+        assert result.conditions == check_conditions(chan, cfg)
 
     def test_fast_and_full_agree_at_good_point(self):
         chan = ChannelParams(lambda0=0.3, lambda1=9.3)
@@ -272,6 +309,18 @@ class TestSelectParams:
                             or check(chan, cfg))
         select_params(ChannelParams(0.3, 9.3), TEMPLATE, xi_grid=xi_grid)
         assert seen[0] == float(np.median(xi_grid))
+
+    def test_scalar_chain_goes_through_moments_full(self, monkeypatch):
+        # design and detector reach the moment model by its public name,
+        # so wrapping that name (as a tracer does) sees every evaluation.
+        calls = []
+        for owner in (design, detector):
+            full = owner.moments_full
+            monkeypatch.setattr(owner, "moments_full",
+                                lambda lam, cfg, full=full, owner=owner:
+                                calls.append(owner) or full(lam, cfg))
+        assert select_params(ChannelParams(0.3, 9.3), TEMPLATE).fast_path
+        assert design in calls and detector in calls
 
     def test_chosen_point_evaluates_each_pmf_once(self, monkeypatch):
         # At fig11 the ML threshold, the analytic BER and the KL share one

@@ -140,6 +140,17 @@ class TestDeriveParams:
         cfg = ReceiverConfig(T=0.01, tau=0.02, xi=0.3, sigma=0.2, sigma0=0.02)
         assert derive_params(cfg) == derive_params(cfg)
 
+    def test_config_derives_once(self):
+        # cfg.derived is derive_params(cfg), kept by the config that made
+        # it and invisible to its equality and hash.
+        cfg = ReceiverConfig(T=0.01, tau=0.035, xi=0.3, sigma=0.2,
+                             sigma0=0.02)
+        twin = ReceiverConfig(T=0.01, tau=0.035, xi=0.3, sigma=0.2,
+                              sigma0=0.02)
+        assert cfg.derived == derive_params(cfg)
+        assert cfg.derived is cfg.derived
+        assert cfg == twin and hash(cfg) == hash(twin)
+
 
 @pytest.mark.parametrize("build", [
     lambda: ReceiverConfig(T=0.01, tau=0.02, xi=math.nan),
