@@ -2,17 +2,22 @@
 no sort unless noise flips cells. The single-trial chain in `simulate` is
 their reference.
 
-Batch layout (ragged, one entry per arrival): row (m,) the trial of each
-arrival; times (m,) its epoch; amps (m,) its amplitude. The (row, time)
-pairs never decrease: the draw sorts exact integer keys, so rows stay whole
-and epochs ascend within each row, ties included. Sample k = 1..n_samp of
-trial i is the cell with key i << s | k, s = n_samp.bit_length(): slot 0 of
-each row is never a cell, so keys of adjacent cells differ by 1 only within
-a row. Thermal noise is drawn later, by a source receiver_counts calls.
+Batch layout (ragged, one entry per arrival): key (m,) is the int64
+row << 49 | epoch of each arrival, where row is its trial and epoch / 2**49
+its time in [0, 1); amps (m,) is its amplitude. Keys are sorted, so rows
+stay whole and epochs ascend within each row, ties included. The kernels
+decode the keys; scaling by 2**49 is exact in float64, so a gap test on keys
+decides as one on the float times would. Sample k = 1..n_samp of trial i is
+the cell with key i << s | k, s = n_samp.bit_length(): slot 0 of each row
+is never a cell, so keys of adjacent cells differ by 1 only within a row.
+Thermal noise is drawn later, by a source receiver_counts calls.
 """
 from __future__ import annotations
 
 import numpy as np
+
+# Arrival keys row << 49 | epoch fit int64 while rows take at most 14 bits.
+_EPOCH_BITS = 49
 
 
 def cell_keys(sample: np.ndarray, n_samp: int) -> np.ndarray:
@@ -21,26 +26,26 @@ def cell_keys(sample: np.ndarray, n_samp: int) -> np.ndarray:
     return sample + sample // n_samp * pad + 1
 
 
-def dead_time_counts(n: int, row: np.ndarray, times: np.ndarray,
-                     tau: float) -> np.ndarray:
+def dead_time_counts(n: int, key: np.ndarray, tau: float) -> np.ndarray:
     """Ideal infinite-rate receiver: paralyzable dead-time censoring. The
     first arrival of each row is recorded, then each whose gap from the
     previous one exceeds tau (the merged pulse train must drop low first)."""
+    row = key >> _EPOCH_BITS
     recorded = np.diff(row, prepend=-1) != 0
-    recorded[1:] |= np.diff(times) > tau
+    recorded[1:] |= np.diff(key) > tau * 2.0 ** _EPOCH_BITS
     return np.bincount(row.compress(recorded), minlength=n)
 
 
-def _covered_cells(row, times, amps, n_samp, T, tau):
+def _covered_cells(key, amps, n_samp, T, tau):
     """Sorted keys of the cells that pulses cover, and their pulse sums.
 
     Arrival i covers keys [a_i, b_i). b is nondecreasing, so its new cells
     are [max(a_i, b_{i-1}), b_i), and these ranges concatenate to the sorted
     unique cells. end_i cells lie below b_i; arrival i's are the last ones."""
-    base = row << n_samp.bit_length()
-    a = base + np.maximum(np.ceil(times / T), 1.0).astype(np.int64)
-    b = base + np.minimum(np.ceil((times + tau) / T),
-                          n_samp + 1.0).astype(np.int64)
+    base = key >> _EPOCH_BITS << n_samp.bit_length()
+    u = (key & ((1 << _EPOCH_BITS) - 1)) * (2.0 ** -_EPOCH_BITS / T)
+    a = base + np.maximum(np.ceil(u), 1.0).astype(np.int64)
+    b = base + np.minimum(np.ceil(u + tau / T), n_samp + 1.0).astype(np.int64)
     width = np.maximum(b - a, 0)
     # In place: a_i becomes max(a_i, b_{i-1}), b_i the new-cell count.
     np.maximum(a[1:], b[:-1], out=a[1:])
@@ -49,16 +54,16 @@ def _covered_cells(row, times, amps, n_samp, T, tau):
     cells = np.repeat(a - end + n_new, n_new)
     cells += np.arange(cells.size)
     at = np.repeat(end - np.cumsum(width), width)
-    del base, a, b, n_new, end  # the per-pair arrays below set the peak
+    del u, base, a, b, n_new, end  # the per-pair arrays below set the peak
     at += np.arange(at.size)
     # bincount sums each cell from 0.0 in arrival order.
     return cells, np.bincount(at, weights=np.repeat(amps, width),
                               minlength=cells.size)
 
 
-def receiver_counts(n: int, row: np.ndarray, times: np.ndarray,
-                    amps: np.ndarray, noise, n_samp: int, T: float,
-                    tau: float, xi: float) -> np.ndarray:
+def receiver_counts(n: int, key: np.ndarray, amps: np.ndarray, noise,
+                    n_samp: int, T: float, tau: float, xi: float
+                    ) -> np.ndarray:
     """Full receiver chain: held pulses -> sampling -> quantize -> edges.
 
     An arrival at t with amplitude a raises sample k (t_k = k T) by a if
@@ -67,7 +72,7 @@ def receiver_counts(n: int, row: np.ndarray, times: np.ndarray,
     bit it inverts instead: a cell is high if F + z >= xi, inverted if
     flipped. Counts are the 0->1 transitions, after an implicit low state
     before the symbol."""
-    cells, F = _covered_cells(row, times, amps, n_samp, T, tau)
+    cells, F = _covered_cells(key, amps, n_samp, T, tau)
     z, flips = noise(cells, F)
     high = cells[F + z >= xi]  # 83-100 % dense; compress only wins below ~93 %
     if flips.size:

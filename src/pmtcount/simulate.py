@@ -2,17 +2,21 @@
 
 A `seed` is a stream key (NumPy NEP 19): an int s, the same as (s,), or a
 tuple (s, k1, ..., km); callers extend a key to split its stream. Trials
-split into the fewest batches of at most BATCH_SIZE, sizes within 1; batch b
-draws all of its randomness from default_rng(SeedSequence(s, spawn_key=(k1,
-..., km, b))) in a fixed order: arrival counts, epochs as 49-bit integer
-keys, amplitudes, then, if sigma0 > 0, Normal noise for the covered samples
-within 6 sigma0 of xi and the flip candidates of all other samples with
-their acceptance draws. Reductions are integer histograms, so results are
-identical for any worker count. Workers are threads of one lasting pool per
-worker count, rebuilt in a forked child; numpy releases the GIL only inside
-array operations, so batches overlap partly. Importing pmtcount sets two
-glibc malloc parameters process-wide so that batches stop page-faulting
-their heap in again; results do not depend on them.
+split into the fewest batches of at most min(BATCH_SIZE, 2**15 / lam),
+sizes within 1, so a batch holds about 2**15 expected arrivals and its
+arrays stay in a core's L2 cache; the layout depends on (lam, trials)
+alone. Batch b of n trials draws all of its randomness from
+default_rng(SeedSequence(s, spawn_key=(k1, ..., km, b))) in a fixed order:
+an arrival total M ~ Poisson(lam n), M sorted uniform keys
+row << 49 | epoch in [0, n << 49) (see `_kernels`), amplitudes, then, if
+sigma0 > 0, Normal noise for the covered samples within 6 sigma0 of xi and
+the flip candidates of all other samples with their acceptance draws.
+Reductions are integer histograms, so results are identical for any worker
+count. Workers are threads of one lasting pool per worker count, rebuilt
+in a forked child; numpy releases the GIL only inside array operations, so
+batches overlap partly. Importing pmtcount sets two glibc malloc
+parameters process-wide so that batches stop page-faulting their heap in
+again; results do not depend on them.
 """
 from __future__ import annotations
 
@@ -25,11 +29,10 @@ from functools import cache, partial
 import numpy as np
 
 from . import _kernels
+from ._kernels import _EPOCH_BITS
 from .params import ReceiverConfig, check_rate, check_tau, gaussian_q
 
 BATCH_SIZE = 16384
-# Epoch keys row << 49 | epoch fit int64 while rows take at most 14 bits.
-_EPOCH_BITS = 49
 assert BATCH_SIZE <= 1 << (63 - _EPOCH_BITS)
 
 # Trims leave M_TOP_PAD (-2) = 128 MiB of freed heap mapped, above one batch's
@@ -137,8 +140,8 @@ def _flip_candidates(rng, size, r):
 
 
 def _draw_batch(lam, cfg: ReceiverConfig | None, rng, n):
-    """Draw all randomness for n trials in the ragged layout of `_kernels`
-    (row, times, amps, noise); lam may be scalar or (n,) array.
+    """Draw all randomness for n trials in the ragged layout of `_kernels`:
+    (key, amps, noise), or (key,) for the ideal receiver (cfg None).
 
     The kernel calls noise(cells, F) once. Covered cells with
     |F - xi| < 6 sigma0 get Normal(0, sigma0) noise. Every other sample
@@ -146,17 +149,15 @@ def _draw_batch(lam, cfg: ReceiverConfig | None, rng, n):
     q = Q(|F - xi| / sigma0) <= r = max(Q(6), p): it is drawn as a
     Bernoulli(r) candidate and accepted with probability q / r.
     """
-    row = np.repeat(np.arange(n), rng.poisson(lam, n))
-    key = rng.integers(0, 1 << _EPOCH_BITS, row.size)
-    key |= row << _EPOCH_BITS
+    # Uniform rows split the Poisson(lam n) total into n Poisson(lam) rows.
+    key = rng.integers(0, n << _EPOCH_BITS, rng.poisson(lam * n))
     key.sort()  # orders (row, epoch) exactly; rows keep their places
-    times = (key & ((1 << _EPOCH_BITS) - 1)) * 2.0 ** -_EPOCH_BITS
     if cfg is None:
-        return row, times
+        return (key,)
     if cfg.sigma > 0.0:
-        amps = rng.normal(1.0, cfg.sigma, row.size)
+        amps = rng.normal(1.0, cfg.sigma, key.size)
     else:
-        amps = np.ones(row.size)
+        amps = np.ones(key.size)
     n_samp, xi, sigma0 = cfg.n_samples, cfg.xi, cfg.sigma0
     p = cfg.derived.p
     r = max(gaussian_q(6.0), p)
@@ -177,7 +178,7 @@ def _draw_batch(lam, cfg: ReceiverConfig | None, rng, n):
         q[hit] = 0.0
         q[hit[far]] = gaussian_q(dist[far] / sigma0)
         return z, cand[rng.random(cand.size) * r < q]
-    return row, times, amps, noise
+    return key, amps, noise
 
 
 @cache
@@ -199,7 +200,7 @@ def _map_batches(worker, n_batches: int, workers: int):
 def _counts_hist(lam, cfg, kernel, hist_len, trials, seed, workers):
     """Histogram of kernel(n, *batch) over `trials` symbols.
 
-    Batch b of n_batches = ceil(trials / BATCH_SIZE) has trials // n_batches
+    Batch b of n_batches = ceil(trials / size) has trials // n_batches
     trials, one more if b < trials % n_batches, drawn from _batch_rng(seed,
     b); bincounts are summed exactly. hist_len must exceed all reachable n.
     """
@@ -207,7 +208,11 @@ def _counts_hist(lam, cfg, kernel, hist_len, trials, seed, workers):
         raise ValueError("trials must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    n_batches = -(-trials // BATCH_SIZE)
+    # About 2**15 expected arrivals; tested first, as 2**15 / lam overflows
+    # for subnormal lam.
+    size = (BATCH_SIZE if lam * BATCH_SIZE <= 2**15
+            else max(1, int(2**15 / lam)))
+    n_batches = -(-trials // size)
 
     def worker(b):
         n = trials // n_batches + (b < trials % n_batches)

@@ -320,19 +320,19 @@ class TestSweepOutputs:
     CASES = [
         (["sweep-sampling", "--preset", "fig3", "--values", "0.02", "0.005",
           "--seed", "3"],
-         "1afbe775ed9800e053dee63245f33fdffc2965de1f398306d5dac5b09c1a3d58"),
+         "ab8e7a55ce13bcdc151c2b2c6f64700845fc2d9f686d9090ee516131f732178a"),
         (["sweep-noise", "--preset", "fig5", "--values", "0.1", "0.3",
           "--seed", "4"],
-         "8d4643e64d15f98eef89274688cd36d38f4e603e5721b1fe517d1060e726954a"),
+         "176cf8e33bfa89714626522a0d9bb183ebc91c36432ce71feadd30a62fe56a40"),
         (["approx-params", "--preset", "fig6", "--values", "0.2", "0.8",
           "--seed", "5"],
-         "caedf431938349bfdd0478e71413a4dbd65dee827418b2a6d7a934a271d85bd0"),
+         "a8de4407adcdeab5894f8e5abfb076e1e7e640feabd7ffb8687051c3ac0b595a"),
         (["ber", "--preset", "fig10", "--values", "0.2", "0.5",
           "--seed", "6"],
-         "e9292b24052821bd3e6b4e5f3cc4d85e02fb1e9fad232f3893044b2468885ffe"),
+         "f1bc09540164084095115f2322fe9051c3d8b196ccf89b59587392ba5eb97139"),
         (["ber", "--preset", "fig9", "--values", "0.01", "0.03",
           "--seed", "7", "--mc-fitted-rule"],
-         "6726b4ebaaa77c15e6ef53b478f9e374eb84f011adb075df6a2d4de8fcd4797e"),
+         "7ec8625a37a397d756f4c3790fd2815a2a94b7a3db0969c2a7fa379dcead9db1"),
     ]
 
     @pytest.mark.parametrize("argv,digest", CASES,

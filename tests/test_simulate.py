@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import chi2_contingency
+from scipy.stats import chi2_contingency, chisquare, poisson
 
 import pmtcount
 from pmtcount import (ReceiverConfig, count_rising_edges, derive_params,
@@ -19,7 +19,14 @@ from pmtcount import (ReceiverConfig, count_rising_edges, derive_params,
                       ideal_counts_hist, moments_exact_noiseless,
                       simulate_counts_hist, simulate_symbol, synth_samples)
 from pmtcount import _kernels, simulate
+from pmtcount._kernels import _EPOCH_BITS
 from pmtcount.simulate import BATCH_SIZE, _batch_rng, _draw_batch
+
+
+def _decode(key):
+    """Row and float time of each arrival key."""
+    return (key >> _EPOCH_BITS,
+            (key & ((1 << _EPOCH_BITS) - 1)) * 2.0 ** -_EPOCH_BITS)
 
 
 class TestArrivals:
@@ -123,14 +130,56 @@ class TestBatchEngine:
                                   _batch_rng(5, 3).random(8))
 
     def test_batches_split_trials_near_equally(self):
-        # 25 000 fig10 trials are two batches of 12 500, not 16 384 + 8 616.
+        # 25 000 fig10 trials at lambda = 12 take batches of at most
+        # 2**15 / 12 = 2730 trials: ten batches of 2 500, not 9 x 2730 + 430.
         cfg = ReceiverConfig(T=0.01, tau=0.01, xi=0.3, sigma=0.2, sigma0=0.02)
         got = simulate_counts_hist(12.0, cfg, 25_000, seed=(9,))
         want = sum(np.bincount(_kernels.receiver_counts(
-            12_500, *_draw_batch(12.0, cfg, _batch_rng((9,), b), 12_500),
+            2_500, *_draw_batch(12.0, cfg, _batch_rng((9,), b), 2_500),
             cfg.n_samples, cfg.T, cfg.tau, cfg.xi), minlength=got.size)
-            for b in (0, 1))
+            for b in range(10))
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("lam,most", [(0.0, BATCH_SIZE),
+                                          (5e-324, BATCH_SIZE),
+                                          (10.0, 3276)])
+    def test_batch_size_follows_arrival_budget(self, monkeypatch, lam, most):
+        # A batch holds about 2**15 expected arrivals and at most BATCH_SIZE
+        # trials; a subnormal rate must not overflow 2**15 / lam.
+        sizes = []
+
+        def recorded(lam, cfg, rng, n):
+            sizes.append(n)
+            return _draw_batch(lam, cfg, rng, n)
+        monkeypatch.setattr(simulate, "_draw_batch", recorded)
+        assert ideal_counts_hist(lam, 0.5, 40_000, seed=1).sum() == 40_000
+        assert sum(sizes) == 40_000
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= most
+        assert len(sizes) == math.ceil(40_000 / most)
+
+    @pytest.mark.parametrize("lam", [0.5, 10.0])
+    def test_rows_get_poisson_arrival_counts(self, monkeypatch, lam):
+        # One Poisson(lam n) total with uniform rows gives each of a call's
+        # rows an independent Poisson(lam) count; chi-square over the rows
+        # of all batches, tail bins pooled to expected counts >= 5.
+        counts = []
+
+        def recorded(lam, cfg, rng, n):
+            batch = _draw_batch(lam, cfg, rng, n)
+            counts.append(np.bincount(batch[0] >> _EPOCH_BITS, minlength=n))
+            return batch
+        monkeypatch.setattr(simulate, "_draw_batch", recorded)
+        trials = 40_000
+        ideal_counts_hist(lam, 0.5, trials, seed=(41,))
+        rows = np.concatenate(counts)
+        assert rows.size == trials
+        lo, hi = np.flatnonzero(trials * poisson.pmf(np.arange(100), lam)
+                                >= 5.0)[[0, -1]]
+        observed = np.bincount(np.clip(rows, lo, hi) - lo)
+        expected = trials * np.concatenate([
+            [poisson.cdf(lo, lam)], poisson.pmf(np.arange(lo + 1, hi), lam),
+            [poisson.sf(hi - 1, lam)]])
+        assert chisquare(observed, expected).pvalue > 1e-3
 
     @pytest.mark.parametrize("trials", [1, 16384, 16385, 25_000, 32768,
                                         1_000_000])
@@ -208,14 +257,15 @@ class TestBatchEngine:
         # xi, rising edges counted. A flipped sample's noise is -inf if its
         # noiseless bit is high and +inf otherwise.
         rng = _batch_rng(seed=11, batch_index=0)
-        row, times, amps, noise = _draw_batch(lam, cfg, rng, 4096)
+        key, amps, noise = _draw_batch(lam, cfg, rng, 4096)
+        row, times = _decode(key)
         drawn = []
 
         def recorded(cells, F):
             drawn.append((cells, F.copy(), *noise(cells, F)))
             return drawn[-1][2:]
         n_samp = cfg.n_samples
-        got = _kernels.receiver_counts(4096, row, times, amps, recorded,
+        got = _kernels.receiver_counts(4096, key, amps, recorded,
                                        n_samp, cfg.T, cfg.tau, cfg.xi)
         [(cells, F, cell_noise, flips)] = drawn
         # Normal noise went to exactly the cells within 6 sigma0 of xi, and
@@ -248,8 +298,9 @@ class TestBatchEngine:
             assert got[i] == count_rising_edges(values >= cfg.xi)
 
         rng = _batch_rng(seed=11, batch_index=1)
-        row, times = _draw_batch(lam, None, rng, 4096)
-        got = _kernels.dead_time_counts(4096, row, times, dead_tau)
+        (key,) = _draw_batch(lam, None, rng, 4096)
+        row, times = _decode(key)
+        got = _kernels.dead_time_counts(4096, key, dead_tau)
         for i in range(4096):
             t = np.sort(times[row == i])
             assert got[i] == (t.size > 0) + int((np.diff(t) > dead_tau).sum())
@@ -258,9 +309,10 @@ class TestBatchEngine:
         # The kernels build covered cells without a sort: they rely on
         # (row, time) pairs that never decrease across the whole batch.
         cfg = ReceiverConfig(T=0.01, tau=0.02, xi=0.3, sigma=0.2, sigma0=0.02)
-        for lam in (10.0, np.linspace(0.0, 40.0, BATCH_SIZE)):
-            row, times, *_ = _draw_batch(lam, cfg, _batch_rng(17, 0),
-                                         BATCH_SIZE)
+        for lam in (10.0, 40.0):
+            key, *_ = _draw_batch(lam, cfg, _batch_rng(17, 0), BATCH_SIZE)
+            row, times = _decode(key)
+            assert row.min() >= 0 and row.max() < BATCH_SIZE
             step = np.diff(row)
             assert np.all((step > 0) | ((step == 0) & (np.diff(times) >= 0)))
             assert np.all((times >= 0.0) & (times < 1.0))
