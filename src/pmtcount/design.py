@@ -4,7 +4,8 @@ The operating point is chosen to maximize the minimum of the two KL
 distances between the binomial count models for the OOK hypotheses
 (Chernoff-Stein rationale). When the asymmetry and holding-time
 conditions hold, the tractable fast path fixes tau* = T and maximizes an
-approximate D(P0||P1) over xi alone.
+approximate D(P0||P1) over xi alone. Both paths take the first maximum
+of their objective on the (xi, tau) grid.
 """
 from __future__ import annotations
 
@@ -14,8 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .detector import (_binomial_pair, binom_pmf_support, build_rule,
-                       error_prob_analytic)
+from .detector import binom_pmf_support, build_rule, error_prob_analytic
 from .moments import (BinomialApprox, _bracket, _mean_le, _n_p,
                       binomial_approx, moments_full)
 from .params import (ApproximationBreakdownError, ChannelParams,
@@ -27,8 +27,6 @@ KL_GAP_CEILING = 0.0102
 # Probability mass allowed on excluded (n >= k) terms of the expectation
 # in the general-N KL distance at a valid operating point.
 EXCLUDED_MASS_TOL = 1e-6
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Size of the default (xi, tau) search grid.
 _XI_POINTS = 64
@@ -212,6 +210,8 @@ def check_conditions(channel: ChannelParams,
 
 @dataclass(frozen=True)
 class DesignResult:
+    """The chosen operating point; skipped_points is the number of grid
+    points skipped because the scalar chain raises there."""
     xi_star: float
     tau_star: float
     kl_01: float
@@ -290,12 +290,13 @@ def select_params(channel: ChannelParams, cfg_template: ReceiverConfig,
     """Select (xi*, tau*) by the max-min-KL criterion.
 
     Fast path (conditions satisfied): tau* = T, grid search on xi
-    maximizing the approximate D(P0||P1), then one golden-section
-    refinement pass. Full path: maximize min(D01, D10) from the exact
-    general-N KL over the (xi, tau) grid; breakdown points are skipped
-    and counted. The grid is evaluated in one numpy pass; the scalar chain
-    (the batched pass's oracle) refines and reports the chosen point.
-    A user grid with a NaN or infinite entry raises ValueError.
+    maximizing the approximate D(P0||P1). Full path: maximize
+    min(D01, D10) from the exact general-N KL over the (xi, tau) grid.
+    Both paths take the grid's first maximum in tau-major order;
+    breakdown points are skipped and counted. The grid is evaluated in
+    one numpy pass; the scalar chain (the batched pass's oracle) reports
+    the chosen point. A user grid with a NaN or infinite entry raises
+    ValueError.
     """
     T = cfg_template.T
     xi_grid = default_xi_grid(cfg_template) if xi_grid is None \
@@ -327,14 +328,6 @@ def select_params(channel: ChannelParams, cfg_template: ReceiverConfig,
     fast = (not force_full and cond_mid.kl_asymmetry
             and cond_mid.holding_time_ok and cond_mid.p_bound)
 
-    def objective_fast(xi):
-        nonlocal skipped
-        try:
-            return kl_approx_01(*_binomial_pair(channel, cfg_at(xi, T)))
-        except ValueError:
-            skipped += 1
-            return -math.inf
-
     taus = np.array([T]) if fast else tau_grid
     vals, skipped = _grid_objective(channel, cfg_template, xi_grid, taus, fast)
     # First maximum in tau-major order, as a `v > best` scan finds it.
@@ -345,10 +338,6 @@ def select_params(channel: ChannelParams, cfg_template: ReceiverConfig,
             "no valid operating point on the (xi, tau) grid")
     i_tau, i_xi = divmod(best, xi_grid.size)
     tau_star, xi_star = taus[i_tau], xi_grid[i_xi]
-    if fast:
-        lo = xi_grid[max(i_xi - 1, 0)]
-        hi = xi_grid[min(i_xi + 1, xi_grid.size - 1)]
-        xi_star = _golden_section(objective_fast, lo, hi)
 
     cfg_star = cfg_at(xi_star, tau_star)
     cond = check_conditions(channel, cfg_star)
@@ -359,21 +348,3 @@ def select_params(channel: ChannelParams, cfg_template: ReceiverConfig,
                         kl_01=kl01, kl_10=kl10, conditions=cond,
                         predicted_ber=ber, fast_path=fast,
                         skipped_points=skipped)
-
-
-def _golden_section(f, lo, hi, iters: int = 40):
-    """Golden-section maximization of a unimodal scalar function."""
-    a, b = float(lo), float(hi)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0

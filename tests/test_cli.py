@@ -304,14 +304,21 @@ class TestDesignOutput:
     # SHA-256 of the fig11 design CSV from the scalar (xi, tau) grid loop;
     # the batched grid must write the same bytes.
     DIGEST = "7f8af74501c72c76c8b2b3c5103e5388d0fe0835c99630d886705a0aa17f5c36"
+    # The fig11 receiver at lambda0 = 0.3, lambda1 = 9.3 takes the fast
+    # path.
+    FAST_DIGEST = (
+        "d794fbd06faf3235ce5f32983cddec681fa6739f05bfe3c5f07c1b86a5e1f4f5")
 
-    @pytest.mark.parametrize("extra", [[], ["--full-path"]],
-                             ids=["default", "full_path"])
-    def test_csv_bytes_pinned(self, tmp_path, extra):
+    @pytest.mark.parametrize(
+        "extra,digest",
+        [([], DIGEST), (["--full-path"], DIGEST),
+         (["--lambda0", "0.3", "--lambda1", "9.3"], FAST_DIGEST)],
+        ids=["default", "full_path", "fast_path"])
+    def test_csv_bytes_pinned(self, tmp_path, extra, digest):
         out = tmp_path / "design.csv"
         assert main(["design", "--preset", "fig11", "-o", str(out)]
                     + extra) == EXIT_OK
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGEST
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestSweepOutputs:

@@ -23,7 +23,7 @@ KL_100_001_005 = 2.4736149824367605
 
 # sha256 of _random_design_lines(), one line per design.
 RANDOM_DESIGNS_SHA256 = (
-    "b16c7290a3b8e54c3b9a0ddc63360a280f0624160354c1158206e74c7699debe")
+    "4f50894c89777f63c13cfc6d906894999905bf76729a11f4b4f7c7636bdc6861")
 
 TEMPLATE = ReceiverConfig(T=0.01, tau=0.01, xi=0.3, sigma=0.2, sigma0=0.02)
 
@@ -383,14 +383,16 @@ class TestSelectParams:
         assert build_rule_from_fit(*fresh).n_th == rule.n_th
 
 
-# Receivers for the batched-grid oracle: fig11; a T = 0.02 receiver; and
-# sigma0 = 0.1 on a xi grid low enough that thermal crossings leave
-# unequal integer parts of N0 and N1 (the general-N KL) and excluded-mass
-# breakdowns, which the default xi grid never reaches.
+# Receivers for the batched-grid oracle: fig11; fig11's receiver at a
+# channel that takes the fast path; a T = 0.02 receiver; and sigma0 = 0.1
+# on a xi grid low enough that thermal crossings leave unequal integer
+# parts of N0 and N1 (the general-N KL) and excluded-mass breakdowns,
+# which the default xi grid never reaches.
 NOISY = ReceiverConfig(T=0.01, tau=0.01, xi=0.3, sigma=0.2, sigma0=0.1)
 NOISY_XI = np.linspace(0.05, 0.6, 23)
 ORACLE_CASES = {
     "fig11": (TEMPLATE, ChannelParams(1.0, 12.0), None),
+    "fig11_lam0.3": (TEMPLATE, ChannelParams(0.3, 9.3), None),
     "T0.02": (ReceiverConfig(T=0.02, tau=0.02, xi=0.3, sigma=0.2,
                              sigma0=0.02), ChannelParams(0.5, 8.0), None),
     "noisy_lam0.25": (NOISY, ChannelParams(0.25, 4.0), NOISY_XI),
@@ -487,16 +489,21 @@ class TestBatchedGrid:
             assert P[i, j] == pytest.approx(b.P, rel=1e-12)
         assert ok[:, xi < 1.0].all() and not ok.all()
 
-    @pytest.mark.parametrize("case", ORACLE_CASES)
-    def test_full_path_picks_scalar_optimum(self, case):
-        # First maximum in tau-major order, as a scan of the scalar chain
-        # finds it, with the same skip count.
+    @pytest.mark.parametrize("case,force_full", [
+        pytest.param(case, full, id=case if full else case + "-auto")
+        for case in ORACLE_CASES for full in (True, False)])
+    def test_full_path_picks_scalar_optimum(self, case, force_full):
+        # On either path, the grid point that is the first maximum in
+        # tau-major order, as a scan of the scalar chain finds it, with
+        # the same skip count.
         tmpl, chan, xi_grid = ORACLE_CASES[case]
-        xi, taus = _grids(tmpl, xi_grid, False)
+        result = select_params(chan, tmpl, xi_grid=xi_grid,
+                               force_full=force_full)
+        assert result.fast_path is (case == "fig11_lam0.3" and not force_full)
+        xi, taus = _grids(tmpl, xi_grid, result.fast_path)
         ref, ref_skipped, _, _ = _scalar_objective(chan, tmpl, xi, taus,
-                                                   False)
+                                                   result.fast_path)
         i, j = np.unravel_index(np.argmax(ref), ref.shape)
-        result = select_params(chan, tmpl, xi_grid=xi_grid, force_full=True)
         assert (result.tau_star, result.xi_star) == (taus[i], xi[j])
         assert result.skipped_points == ref_skipped
 
@@ -524,8 +531,8 @@ class TestBatchedGrid:
 
 
 # DesignResults pinned from the scalar-grid implementation: the batched
-# grid must reproduce them bit for bit, on the fast path (golden-section
-# refinement) and the full path. predicted_ber follows the C library's
+# grid must reproduce them bit for bit, on the fast path (xi grid at
+# tau = T) and the full path. predicted_ber follows the C library's
 # log-gamma (math.lgamma) in its last bits.
 PINNED_DESIGNS = [
     (TEMPLATE, (1.0, 12.0), None, False, DesignResult(
@@ -539,14 +546,14 @@ PINNED_DESIGNS = [
         predicted_ber=0.008078509405990326, fast_path=False, separable=True,
         skipped_points=0)),
     (TEMPLATE, (0.25, 4.0), None, False, DesignResult(
-        xi_star=0.14276923081898302, tau_star=0.01, kl_01=3.043144970901402,
-        kl_10=6.909310662687034, conditions=ConditionFlags(
+        xi_star=0.14276923076923076, tau_star=0.01, kl_01=3.043144970901402,
+        kl_10=6.9093106626869645, conditions=ConditionFlags(
             kl_asymmetry=True, holding_time_ok=True, p_bound=True,
-            kl_gap_bound=True, kl_asymmetry_margin=0.4615676536266453,
-            holding_time_margin=0.25259131315754385,
-            p_bound_margin=6.39962064853889e-05,
-            kl_gap_value=0.0038306987374004437),
-        predicted_ber=0.06104783552911954, fast_path=True, separable=True,
+            kl_gap_bound=True, kl_asymmetry_margin=0.46156765362660623,
+            holding_time_margin=0.2525913131575469,
+            p_bound_margin=6.399620648538889e-05,
+            kl_gap_value=0.0038306987374007156),
+        predicted_ber=0.06104783552911929, fast_path=True, separable=True,
         skipped_points=0)),
     (TEMPLATE, (2.0, 24.0), None, True, DesignResult(
         xi_star=0.14276923076923076, tau_star=0.01, kl_01=15.911646814388522,
@@ -559,14 +566,14 @@ PINNED_DESIGNS = [
         predicted_ber=0.0005090560143117106, fast_path=False, separable=True,
         skipped_points=0)),
     (ORACLE_CASES["T0.02"][0], (0.1, 2.1), None, False, DesignResult(
-        xi_star=0.14276923081898302, tau_star=0.02, kl_01=1.6891477390783662,
-        kl_10=4.123158324535619, conditions=ConditionFlags(
+        xi_star=0.14276923076923076, tau_star=0.02, kl_01=1.689147739078388,
+        kl_10=4.123158324535682, conditions=ConditionFlags(
             kl_asymmetry=True, holding_time_ok=True, p_bound=True,
-            kl_gap_bound=True, kl_asymmetry_margin=0.7162135982369606,
-            holding_time_margin=0.02496129981331873,
-            p_bound_margin=7.408323494478237e-05,
-            kl_gap_value=0.0012802189204451494),
-        predicted_ber=0.10889078992167069, fast_path=True, separable=True,
+            kl_gap_bound=True, kl_asymmetry_margin=0.7162135982369677,
+            holding_time_margin=0.024961299813315234,
+            p_bound_margin=7.408323494478235e-05,
+            kl_gap_value=0.0012802189204451561),
+        predicted_ber=0.10889078992166927, fast_path=True, separable=True,
         skipped_points=0)),
     (NOISY, (1.0, 12.0), NOISY_XI, True, DesignResult(
         xi_star=0.39999999999999997, tau_star=0.01, kl_01=8.30580492961082,
@@ -579,14 +586,14 @@ PINNED_DESIGNS = [
         predicted_ber=0.008143405683180413, fast_path=False, separable=True,
         skipped_points=52)),
     (NOISY, (0.5, 8.0), None, False, DesignResult(
-        xi_star=0.6153846154182319, tau_star=0.01, kl_01=5.886632770556072,
-        kl_10=12.682229584316907, conditions=ConditionFlags(
+        xi_star=0.6153846153846154, tau_star=0.01, kl_01=5.88663277061907,
+        kl_10=12.682229584437863, conditions=ConditionFlags(
             kl_asymmetry=True, holding_time_ok=True, p_bound=True,
-            kl_gap_bound=False, kl_asymmetry_margin=0.1388085207418297,
-            holding_time_margin=0.25675957760532364,
-            p_bound_margin=0.0004711843135508118,
-            kl_gap_value=0.014158251975517896),
-        predicted_ber=0.016102343275775977, fast_path=True, separable=True,
+            kl_gap_bound=False, kl_asymmetry_margin=0.13880852073429795,
+            holding_time_margin=0.25675957760541074,
+            p_bound_margin=0.0004711843135661321,
+            kl_gap_value=0.014158251975817524),
+        predicted_ber=0.01610234327533335, fast_path=True, separable=True,
         skipped_points=0)),
 ]
 
