@@ -214,7 +214,10 @@ def _cmd_fit(args):
     with open(args.input) as fh:
         rows = list(csv.DictReader(fh))
     n = np.array([int(r["n"]) for r in rows], dtype=np.int64)
-    hist = np.bincount(n, weights=[float(r["count"]) for r in rows])
+    counts = np.array([float(r["count"]) for r in rows])
+    if (counts < 0.0).any():
+        raise ValueError("counts must be nonnegative")
+    hist = np.bincount(n, weights=counts)
     # Counts may be weights (any scale), so use the population moments,
     # which are scale-invariant; hist_moments' n/(n-1) needs integer counts.
     total = hist.sum()

@@ -10,12 +10,12 @@ of their objective on the (xi, tau) grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
 
-from .detector import binom_pmf_support, build_rule, error_prob_analytic
+from .detector import build_rule, error_prob_analytic
 from .moments import (BinomialApprox, _bracket, _mean_le, _n_p,
                       binomial_approx, moments_full)
 from .params import (ApproximationBreakdownError, ChannelParams,
@@ -81,7 +81,7 @@ def _kl_directed(ba: BinomialApprox, bb: BinomialApprox) -> tuple[float, float]:
     ks = np.arange(math.floor(lo) + 1, math.floor(hi) + 1)
     if ks.size == 0:
         return base, 0.0
-    pmf_a, _ = binom_pmf_support(ba)
+    pmf_a, _ = ba.support_pmf
     # Only rows n < ks[0] have every term; the rest are excluded mass.
     n = np.arange(min(pmf_a.size, ks[0]))
     log_sum = np.log(ks[None, :] / (ks[None, :] - n[:, None])).sum(axis=1)
@@ -312,9 +312,7 @@ def select_params(channel: ChannelParams, cfg_template: ReceiverConfig,
         raise ValueError("grids must be nonempty")
 
     def cfg_at(xi, tau):
-        return ReceiverConfig(T=T, tau=float(tau), xi=float(xi),
-                              sigma=cfg_template.sigma,
-                              sigma0=cfg_template.sigma0)
+        return replace(cfg_template, xi=float(xi), tau=float(tau))
 
     xi_sorted, mid = np.sort(xi_grid, axis=None), xi_grid.size // 2
     # np.median, bitwise: the middle value or the mean of the two.

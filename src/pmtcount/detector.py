@@ -7,24 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import BinomialApprox, binomial_approx, moments_full
-from .moments import binom_logpmf  # noqa: F401  (re-exported)
 from .params import ApproximationBreakdownError, ChannelParams, ReceiverConfig
 from .simulate import simulate_counts_hist
 
 # Renormalization of the real-N binomial PMF must stay below this at a
 # valid operating point.
 RENORM_TOL = 1e-6
-
-
-def binom_pmf_support(approx: BinomialApprox) -> tuple[np.ndarray, float]:
-    """Renormalized PMF over n = 0..floor(N) and the renormalization gap.
-
-    Returns (pmf, |Z - 1|) where Z is the unnormalized mass; the gap must
-    be small (< RENORM_TOL) for the approximation to be trustworthy. The
-    PMF is computed once per approx and shared, so it is read-only: copy
-    it before writing.
-    """
-    return approx.support_pmf
 
 
 @dataclass(frozen=True)
@@ -82,16 +70,11 @@ def ml_threshold_general(approx0: BinomialApprox,
     return int(below[-1]) if below.size else 0
 
 
-def _binomial_pair(channel: ChannelParams, cfg: ReceiverConfig
-                   ) -> tuple[BinomialApprox, BinomialApprox]:
-    """The moment-matched binomials of both hypotheses at (channel, cfg)."""
-    return (binomial_approx(moments_full(channel.lambda0, cfg), cfg.derived),
-            binomial_approx(moments_full(channel.lambda1, cfg), cfg.derived))
-
-
 def build_rule(channel: ChannelParams, cfg: ReceiverConfig) -> MlRule:
     """Detection rule from analytic moments (the default pipeline)."""
-    return build_rule_from_fit(*_binomial_pair(channel, cfg))
+    return build_rule_from_fit(
+        binomial_approx(moments_full(channel.lambda0, cfg), cfg.derived),
+        binomial_approx(moments_full(channel.lambda1, cfg), cfg.derived))
 
 
 def build_rule_from_fit(b0: BinomialApprox, b1: BinomialApprox) -> MlRule:
@@ -110,8 +93,8 @@ def error_prob_analytic(rule: MlRule) -> float:
     p_e = [P(n <= n_th | approx1) + P(n > n_th | approx0)] / 2, summed
     over the renormalized integer supports.
     """
-    pmf1, _ = binom_pmf_support(rule.approx1)
-    pmf0, _ = binom_pmf_support(rule.approx0)
+    pmf1, _ = rule.approx1.support_pmf
+    pmf0, _ = rule.approx0.support_pmf
     miss = pmf1[:rule.n_th + 1].sum()
     false_alarm = pmf0[rule.n_th + 1:].sum()
     return float(0.5 * (miss + false_alarm))

@@ -84,7 +84,7 @@ def binom_logpmf(n: np.ndarray, approx: BinomialApprox) -> np.ndarray:
     """Log PMF of Binomial(N, P) with real-valued N via log-gamma.
 
     Defined on integer n in [0, floor(N)]; not renormalized (see
-    detector.binom_pmf_support for the renormalized mass).
+    BinomialApprox.support_pmf for the renormalized mass).
     """
     n = np.asarray(n, dtype=float)
     N, P = approx.N, approx.P

@@ -139,6 +139,16 @@ class TestFitCommand:
         assert main(["fit", "--input", str(hist_path)]) == \
             EXIT_INVALID_CONFIG
 
+    def test_negative_count_is_config_error(self, tmp_path):
+        # A negative weight still leaves a positive total and a
+        # plausible sub-Poisson fit, so only an explicit check catches it.
+        hist_path = tmp_path / "hist.csv"
+        hist_path.write_text("n,count\n0,50\n1,100\n2,40\n3,-1\n")
+        out = tmp_path / "fit.csv"
+        assert main(["fit", "--input", str(hist_path), "-o", str(out)]) == \
+            EXIT_INVALID_CONFIG
+        assert not out.exists()
+
 
 class TestConfigLayering:
     def test_flags_override_config_file(self, tmp_path):

@@ -13,9 +13,9 @@ from pmtcount import (BinomialApprox, ChannelParams, DegenerateKlError,
                       kl_gap_bound, kl_general_n, moments_full, select_params)
 from pmtcount import (MlRule, build_rule_from_fit, design, detector,
                       error_prob_analytic, moments)
-from pmtcount.detector import binom_logpmf
 from pmtcount.design import (KL_GAP_CEILING, ConditionFlags, DesignResult,
                              default_tau_grid, default_xi_grid)
+from pmtcount.moments import binom_logpmf
 
 # Frozen high-precision reference: equal-N KL distance at N=100,
 # P0=0.01, P1=0.05.

@@ -10,7 +10,8 @@ from pmtcount import (BinomialApprox, ChannelParams, ReceiverConfig, ber_mc,
                       classify, derive_params, error_prob_analytic,
                       moments_full, ml_threshold, ml_threshold_general)
 from pmtcount import moments
-from pmtcount.detector import RENORM_TOL, binom_logpmf, binom_pmf_support
+from pmtcount.detector import RENORM_TOL
+from pmtcount.moments import binom_logpmf
 
 OPERATING_CFG = ReceiverConfig(T=0.01, tau=0.01, xi=0.3, sigma=0.2,
                                sigma0=0.02)
@@ -37,15 +38,15 @@ class TestBinomPmf:
     def test_renormalization_gap_small_at_operating_point(self):
         b0 = binomial_approx(moments_full(1.0, OPERATING_CFG),
                              derive_params(OPERATING_CFG))
-        pmf, gap = binom_pmf_support(b0)
+        pmf, gap = b0.support_pmf
         assert gap < RENORM_TOL
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_shared_arrays_are_read_only(self):
         # Every reader gets the same arrays, so none may write to them.
         b = BinomialApprox(N=33.3, P=0.2)
-        pmf, _ = binom_pmf_support(b)
-        assert binom_pmf_support(b)[0] is pmf
+        pmf, _ = b.support_pmf
+        assert b.support_pmf[0] is pmf
         for shared in (pmf, b.support_logpmf):
             with pytest.raises(ValueError, match="read-only"):
                 shared[0] = 1.0

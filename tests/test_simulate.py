@@ -20,7 +20,8 @@ from pmtcount import (ReceiverConfig, count_rising_edges, derive_params,
                       simulate_counts_hist, simulate_symbol, synth_samples)
 from pmtcount import _kernels, simulate
 from pmtcount._kernels import _EPOCH_BITS
-from pmtcount.simulate import BATCH_SIZE, _batch_rng, _draw_batch
+from pmtcount.simulate import (BATCH_SIZE, _batch_rng, _draw_batch,
+                               _flip_candidates)
 
 
 def _decode(key):
@@ -105,6 +106,36 @@ class TestRisingEdges:
                             dtype=np.int8)
             expected = ("0" + "".join(map(str, bits))).count("01")
             assert count_rising_edges(bits) == expected
+
+
+class TestFlipCandidates:
+    @pytest.mark.parametrize("size,r", [(1, 0.5), (100, 0.05),
+                                        (10_000, 1e-3), (50_000, 0.3)])
+    def test_sorted_distinct_and_in_range(self, size, r):
+        pos = _flip_candidates(np.random.default_rng(3), size, r)
+        assert np.all(np.diff(pos) > 0)
+        assert pos.size == 0 or (pos[0] >= 0 and pos[-1] < size)
+
+    def test_extension_loop_covers_every_position(self):
+        # Gaps of one include every position, so a first chunk of about
+        # size * r gaps falls short and the loop must extend it to size.
+        class OnesRng:
+            calls = 0
+
+            def geometric(self, r, n):
+                self.calls += 1
+                return np.ones(n, dtype=np.int64)
+
+        rng = OnesRng()
+        pos = _flip_candidates(rng, 100, 0.05)
+        assert rng.calls > 1
+        assert np.array_equal(pos, np.arange(100))
+
+    def test_included_fraction_is_r(self):
+        size, r = 1_000_000, 0.01
+        pos = _flip_candidates(np.random.default_rng(11), size, r)
+        sd = math.sqrt(size * r * (1.0 - r))
+        assert abs(pos.size - size * r) < 5.0 * sd
 
 
 class TestBatchEngine:
