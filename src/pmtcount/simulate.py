@@ -11,12 +11,12 @@ an arrival total M ~ Poisson(lam n), M sorted uniform keys
 row << 49 | epoch in [0, n << 49) (see `_kernels`), amplitudes, then, if
 sigma0 > 0, Normal noise for the covered samples within 6 sigma0 of xi and
 the flip candidates of all other samples with their acceptance draws.
-Reductions are integer histograms, so results are identical for any worker
-count. Workers are threads of one lasting pool per worker count, rebuilt
-in a forked child; numpy releases the GIL only inside array operations, so
-batches overlap partly. Importing pmtcount sets two glibc malloc
-parameters process-wide so that batches stop page-faulting their heap in
-again; results do not depend on them.
+Reductions are integer histograms that run to the largest count drawn, so
+results are identical for any worker count. Workers are threads of one
+lasting pool per worker count, rebuilt in a forked child; numpy releases
+the GIL only inside array operations, so batches overlap partly. Importing
+pmtcount sets two glibc malloc parameters process-wide so that batches
+stop page-faulting their heap in again; results do not depend on them.
 """
 from __future__ import annotations
 
@@ -41,10 +41,6 @@ _mallopt = ctypes.CDLL(None).mallopt
 _mallopt.argtypes, _mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
 _mallopt(-2, 128 << 20)
 _mallopt(-8, 1)
-
-# Histogram slack past the largest reachable counts: n_s <= ceil(n_samp / 2),
-# and the ideal receiver records at most floor(1/tau) + 1 pulses.
-_HIST_PAD = 4
 
 
 def _batch_rng(seed: int | tuple, batch_index: int) -> np.random.Generator:
@@ -197,13 +193,14 @@ def _map_batches(worker, n_batches: int, workers: int):
     return list(_pool(workers).map(worker, range(n_batches)))
 
 
-def _counts_hist(lam, cfg, kernel, hist_len, trials, seed, workers):
+def _counts_hist(lam, cfg, kernel, trials, seed, workers):
     """Histogram of kernel(n, *batch) over `trials` symbols.
 
     Batch b of n_batches = ceil(trials / size) has trials // n_batches
     trials, one more if b < trials % n_batches, drawn from _batch_rng(seed,
-    b); bincounts are summed exactly. hist_len must exceed all reachable n.
+    b); bincounts are summed exactly and run to the largest count drawn.
     """
+    check_rate(lam)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:
@@ -217,9 +214,11 @@ def _counts_hist(lam, cfg, kernel, hist_len, trials, seed, workers):
     def worker(b):
         n = trials // n_batches + (b < trials % n_batches)
         batch = _draw_batch(lam, cfg, _batch_rng(seed, b), n)
-        return np.bincount(kernel(n, *batch), minlength=hist_len)
+        return np.bincount(kernel(n, *batch))
 
-    return np.sum(_map_batches(worker, n_batches, workers), axis=0)
+    hists = _map_batches(worker, n_batches, workers)
+    length = max(h.size for h in hists)
+    return np.sum([np.pad(h, (0, length - h.size)) for h in hists], axis=0)
 
 
 def simulate_counts_hist(lam: float, cfg: ReceiverConfig, trials: int,
@@ -227,8 +226,7 @@ def simulate_counts_hist(lam: float, cfg: ReceiverConfig, trials: int,
     """Histogram of recorded pulse counts over `trials` receiver symbols."""
     kernel = partial(_kernels.receiver_counts, n_samp=cfg.n_samples, T=cfg.T,
                      tau=cfg.tau, xi=cfg.xi)
-    return _counts_hist(lam, cfg, kernel, cfg.n_samples // 2 + 1 + _HIST_PAD,
-                        trials, seed, workers)
+    return _counts_hist(lam, cfg, kernel, trials, seed, workers)
 
 
 def ideal_counts_hist(lam: float, tau: float, trials: int, seed: int | tuple,
@@ -236,7 +234,7 @@ def ideal_counts_hist(lam: float, tau: float, trials: int, seed: int | tuple,
     """Histogram of dead-time-censored counts for the ideal receiver."""
     check_tau(tau)
     return _counts_hist(lam, None, partial(_kernels.dead_time_counts, tau=tau),
-                        int(1.0 / tau) + 2 + _HIST_PAD, trials, seed, workers)
+                        trials, seed, workers)
 
 
 def hist_moments(hist: np.ndarray) -> tuple[float, float]:

@@ -24,7 +24,7 @@ _NEGATIVE_CLAMP = -1e-9
 
 
 class SeriesBreakdownError(ApproximationBreakdownError):
-    """Raised when the stabilized PMF series misses normalization."""
+    """Raised when the PMF series overflows or misses normalization."""
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,8 @@ def subpoisson_pmf(lam: float, tau: float) -> SubPoissonDist:
     P(n) = sum_{m=0}^{M-n} (-1)^m / (n! m!) * [(1-(n+m-1)tau) lam e^{-lam tau}]^{n+m}
 
     with the n = m = 0 term defined as 1. Requires lam * tau <= 0.5; the
-    series is rejected (SeriesBreakdownError) if the stabilized sum misses
-    unit normalization by more than 1e-4.
+    series is rejected (SeriesBreakdownError) if a term overflows a float
+    or the stabilized sum misses unit normalization by more than 1e-4.
     """
     check_rate(lam)
     check_tau(tau)
@@ -96,6 +96,9 @@ def _series(lam: float, tau: float, M: int) -> np.ndarray:
     # Order-s terms (n + m = s) peak at the balanced split, log gamma being
     # convex; past the last order S whose peak clears -760, exp gives 0.0.
     peak = log_base - lg[s // 2] - lg[s - s // 2]
+    if peak.max() > math.log(np.finfo(float).max):
+        raise SeriesBreakdownError(
+            f"PMF series terms overflow at lambda={lam}, tau={tau}")
     S = int(np.flatnonzero(peak > -760.0)[-1])
     s, lg = s[:S + 1], lg[:S + 1]
     # log_terms[n, m] for n + m <= S; signs alternate with m.

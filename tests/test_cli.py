@@ -48,6 +48,11 @@ class TestPmfCommand:
                      "-o", str(out)]) == EXIT_BREAKDOWN
         assert not out.exists()
 
+    def test_series_overflow_exit_code(self, capsys):
+        assert main(["pmf", "--lambda", "1000", "--tau", "0.0005"]) == \
+            EXIT_BREAKDOWN
+        assert "overflow" in capsys.readouterr().err
+
     def test_series_breakdown_message_prints_plain_floats(self, capsys):
         assert main(["pmf", "--lambda", "17", "--tau", "0.001"]) == \
             EXIT_BREAKDOWN

@@ -409,6 +409,38 @@ class TestBatchEngine:
             tracemalloc.stop()
         assert peak < 4_000_000
 
+    def test_ideal_histogram_ends_at_largest_count(self):
+        # The receiver bound floor(1/tau) + 1 is 100 001 here, but no count
+        # passes about 30; bound-sized batch histograms took 100 MB.
+        tracemalloc.start()
+        try:
+            hist = ideal_counts_hist(10.0, 1e-5, 200_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000_000
+        assert hist[-1] > 0
+
+    def test_receiver_histogram_ends_at_largest_count(self):
+        cfg = ReceiverConfig(T=0.01, tau=0.02, xi=0.3, sigma=0.2, sigma0=0.02)
+        assert simulate_counts_hist(10.0, cfg, 40_000, seed=1)[-1] > 0
+
+    @pytest.mark.parametrize("sigma0", [0.0, 100.0],
+                             ids=["noiseless", "p_half"])
+    def test_receiver_counts_within_edge_bound(self, sigma0):
+        # A rising edge needs a low sample before it: n_s <= ceil(n_samp / 2).
+        # lam = 400 covers 86 % of samples; sigma0 = 100 flips half the rest.
+        cfg = ReceiverConfig(T=0.01, tau=0.005, xi=0.3, sigma0=sigma0)
+        hist = simulate_counts_hist(400.0, cfg, 5000, seed=1)
+        assert hist.size - 1 <= math.ceil(cfg.n_samples / 2)
+
+    def test_ideal_counts_within_dead_time_bound(self):
+        # Recorded arrivals are more than tau apart, so at most
+        # floor(1/tau) + 1 of them; at tau = 0.4 and lam = 1/tau that many
+        # are recorded in some trials.
+        hist = ideal_counts_hist(2.5, 0.4, 20_000, seed=1)
+        assert hist.size - 1 <= math.floor(1 / 0.4) + 1
+
     def test_noise_crossings_memory_is_sparse(self):
         # lambda = 0 and p = 0.159: the crossing positions are a k-subset of
         # 1.6e6 uncovered cells, k ~ 2.6e5; an index array over all of them
@@ -475,3 +507,13 @@ class TestBatchEngine:
             simulate_counts_hist(10.0, cfg, 100, seed=1, workers=workers)
         with pytest.raises(ValueError):
             ideal_counts_hist(10.0, 0.01, 100, seed=1, workers=workers)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("run", [
+        lambda lam: simulate_counts_hist(
+            lam, ReceiverConfig(T=0.01, tau=0.01, xi=0.3), 100, seed=1),
+        lambda lam: ideal_counts_hist(lam, 0.01, 100, seed=1),
+    ], ids=["receiver", "ideal"])
+    def test_rejects_bad_rate(self, run, lam):
+        with pytest.raises(ValueError, match="lambda="):
+            run(lam)

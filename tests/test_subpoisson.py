@@ -52,6 +52,12 @@ class TestPmf:
         with pytest.raises(SeriesBreakdownError):
             subpoisson_pmf(25.0, 0.01)
 
+    def test_rejects_term_overflow(self):
+        # lam * tau = 0.5 is in range, but the largest order's terms exceed
+        # the float range; exp would overflow into inf - inf.
+        with pytest.raises(SeriesBreakdownError, match="overflow"):
+            subpoisson_pmf(1000.0, 5e-4)
+
     @pytest.mark.parametrize("lam,tau", [(-1.0, 0.01), (10.0, 0.0),
                                          (10.0, 1.0)])
     def test_rejects_invalid(self, lam, tau):
