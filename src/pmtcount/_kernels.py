@@ -1,6 +1,6 @@
-"""Hot Monte Carlo kernels of the batch engine: numpy, no Python loops, and
-no sort unless noise flips cells. The single-trial chain in `simulate` is
-their reference.
+"""Hot Monte Carlo kernels of the batch engine: numpy, no Python loops over
+arrivals, and no sort unless noise flips cells. The single-trial chain in
+`simulate` is their reference.
 
 Batch layout (ragged, one entry per arrival): key (m,) is the int64
 row << 49 | epoch of each arrival, where row is its trial and epoch / 2**49
@@ -39,26 +39,25 @@ def dead_time_counts(n: int, key: np.ndarray, tau: float) -> np.ndarray:
 def _covered_cells(key, amps, n_samp, T, tau):
     """Sorted keys of the cells that pulses cover, and their pulse sums.
 
-    Arrival i covers keys [a_i, b_i). b is nondecreasing, so its new cells
-    are [max(a_i, b_{i-1}), b_i), and these ranges concatenate to the sorted
-    unique cells. end_i cells lie below b_i; arrival i's are the last ones."""
+    Arrival i covers keys [a_i, b_i). b is nondecreasing, so end_i = sum over
+    h <= i of min(width_h, b_h - b_{h-1}) cells lie below b_i. Pass j = W-1
+    down to 0 (W the widest) adds pulses wider than j to cell end_i - width_i
+    + j, others to a dummy slot: each cell sums from 0.0 in arrival order."""
     base = key >> _EPOCH_BITS << n_samp.bit_length()
     u = (key & ((1 << _EPOCH_BITS) - 1)) * (2.0 ** -_EPOCH_BITS / T)
     a = base + np.maximum(np.ceil(u), 1.0).astype(np.int64)
     b = base + np.minimum(np.ceil(u + tau / T), n_samp + 1.0).astype(np.int64)
     width = np.maximum(b - a, 0)
-    # In place: a_i becomes max(a_i, b_{i-1}), b_i the new-cell count.
-    np.maximum(a[1:], b[:-1], out=a[1:])
-    n_new = np.maximum(b - a, 0, out=b)
-    end = np.cumsum(n_new)
-    cells = np.repeat(a - end + n_new, n_new)
-    cells += np.arange(cells.size)
-    at = np.repeat(end - np.cumsum(width), width)
-    del u, base, a, b, n_new, end  # the per-pair arrays below set the peak
-    at += np.arange(at.size)
-    # bincount sums each cell from 0.0 in arrival order.
-    return cells, np.bincount(at, weights=np.repeat(amps, width),
-                              minlength=cells.size)
+    first = np.cumsum(np.minimum(width, np.diff(b, prepend=0))) - width
+    del u, base, b  # the per-pass arrays below set the peak
+    cells = np.empty((first + width).max(initial=0) + 1, np.int64)
+    F = np.zeros(cells.size)
+    for j in range(width.max(initial=0) - 1, -1, -1):
+        at = first + j
+        at[width <= j] = cells.size - 1
+        cells[at] = a + j
+        np.add.at(F, at, amps)
+    return cells[:-1], F[:-1]
 
 
 def receiver_counts(n: int, key: np.ndarray, amps: np.ndarray, noise,

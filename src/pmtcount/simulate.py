@@ -13,10 +13,11 @@ sigma0 > 0, Normal noise for the covered samples within 6 sigma0 of xi and
 the flip candidates of all other samples with their acceptance draws.
 Reductions are integer histograms that run to the largest count drawn, so
 results are identical for any worker count. Workers are threads of one
-lasting pool per worker count, rebuilt in a forked child; numpy releases
-the GIL only inside array operations, so batches overlap partly. Importing
-pmtcount sets two glibc malloc parameters process-wide so that batches
-stop page-faulting their heap in again; results do not depend on them.
+lasting pool per worker count, rebuilt in a forked child; np.add.at and
+np.bincount hold the GIL, and 2 threads ran a fig10 point 1.0-1.6x as fast
+as 1 on 2 cores. Importing pmtcount sets two glibc malloc parameters
+process-wide so that batches stop page-faulting their heap in again;
+results do not depend on them.
 """
 from __future__ import annotations
 

@@ -279,8 +279,15 @@ class TestBatchEngine:
         # xi < 6 sigma0: uncovered flips next to covered cells.
         (10.0, ReceiverConfig(T=0.01, tau=0.02, xi=0.06, sigma=0.2,
                               sigma0=0.02), 0.02),
+        # Noisy wide pulse: up to 10 cells per pulse, so the order in which
+        # a cell sums its pulses matters most.
+        (10.0, ReceiverConfig(T=0.002, tau=0.02, xi=0.3, sigma=0.2,
+                              sigma0=0.02), 0.02),
+        # tau / T not an integer: pulses cover 1 or 2 samples.
+        (10.0, ReceiverConfig(T=0.01, tau=0.015, xi=0.3, sigma=0.2,
+                              sigma0=0.02), 0.015),
     ], ids=["fig6_noisy", "T_gt_tau", "noiseless_wide", "no_arrivals",
-            "near_band"])
+            "near_band", "noisy_wide", "fractional_tau"])
     def test_kernel_paths_agree_bitwise(self, lam, cfg, dead_tau):
         # Every row of a drawn batch must get the count that the
         # single-trial rule gives: samples at kT, covered when
@@ -335,6 +342,35 @@ class TestBatchEngine:
         for i in range(4096):
             t = np.sort(times[row == i])
             assert got[i] == (t.size > 0) + int((np.diff(t) > dead_tau).sum())
+
+    def test_cell_sums_add_pulses_in_arrival_order(self):
+        # Float sums depend on their order once 3 pulses share a cell: each
+        # cell's F must be 0.0 plus its pulses in arrival order, bit for bit.
+        cfg = ReceiverConfig(T=0.002, tau=0.02, xi=0.3, sigma=0.2)
+        key, amps, noise = _draw_batch(40.0, cfg, _batch_rng(5, 0), 300)
+        drawn = []
+
+        def recorded(cells, F):
+            drawn.append((cells.copy(), F.copy()))
+            return noise(cells, F)
+        _kernels.receiver_counts(300, key, amps, recorded, cfg.n_samples,
+                                 cfg.T, cfg.tau, cfg.xi)
+        [(cells, F)] = drawn
+        row, times = _decode(key)
+        kT = np.arange(1, cfg.n_samples + 1) * cfg.T
+        want = {}
+        for i, t, amp in zip(row.tolist(), times, amps):
+            for k in np.flatnonzero((t <= kT) & (kT < t + cfg.tau)) + 1:
+                cell = i << cfg.n_samples.bit_length() | int(k)
+                want[cell] = want.get(cell, 0.0) + amp
+        assert cells.tolist() == sorted(want)
+        assert F.tolist() == [want[c] for c in cells.tolist()]
+
+    def test_ideal_counts_of_a_full_batch(self):
+        # The last row's keys lie within 2**49 of 2**63, so a dead-time
+        # test that adds floor(tau * 2**49) to a key overflows int64.
+        assert ideal_counts_hist(1.0, 0.5, BATCH_SIZE, seed=3).tolist() == [
+            6047, 9288, 1049]
 
     def test_draw_is_sorted_by_row_then_time(self):
         # The kernels build covered cells without a sort: they rely on
