@@ -2,7 +2,7 @@
 
 The counting law for a Poisson arrival stream censored by a (paralyzable)
 dead time tau is sub-Poisson: variance below the mean. The PMF is an
-alternating series that cancels catastrophically for small tau, so terms
+alternating series that cancels catastrophically as lam grows, so terms
 are evaluated in log magnitude and summed exactly with math.fsum.
 """
 from __future__ import annotations
@@ -15,16 +15,13 @@ import numpy as np
 from .params import (ApproximationBreakdownError, _elementwise, check_rate,
                      check_tau)
 
-# Beyond this the alternating series loses digits faster than exact
-# summation recovers; moments stay closed-form for all inputs.
-MAX_LAMBDA_TAU = 0.5
-
 _NORMALIZATION_TOL = 1e-4
 _NEGATIVE_CLAMP = -1e-9
 
 
 class SeriesBreakdownError(ApproximationBreakdownError):
-    """Raised when the PMF series overflows or misses normalization."""
+    """Raised when the PMF series' largest term leaves no digit of P(n)
+    after rounding, or the summed PMF misses normalization."""
 
 
 @dataclass(frozen=True)
@@ -53,16 +50,15 @@ def subpoisson_pmf(lam: float, tau: float) -> SubPoissonDist:
 
     P(n) = sum_{m=0}^{M-n} (-1)^m / (n! m!) * [(1-(n+m-1)tau) lam e^{-lam tau}]^{n+m}
 
-    with the n = m = 0 term defined as 1. Requires lam * tau <= 0.5; the
-    series is rejected (SeriesBreakdownError) if a term overflows a float
-    or the stabilized sum misses unit normalization by more than 1e-4.
+    with the n = m = 0 term defined as 1. The terms cancel by about
+    e^{2 lam}, whatever lam * tau is. The series is rejected
+    (SeriesBreakdownError) before any term is summed if its largest term
+    exceeds 1/eps, so that its rounding error exceeds every P(n), and
+    after summing if the PMF misses unit normalization by more than 1e-4;
+    the moments stay closed-form for all inputs.
     """
     check_rate(lam)
     check_tau(tau)
-    if lam * tau > MAX_LAMBDA_TAU:
-        raise SeriesBreakdownError(
-            f"lambda*tau = {lam * tau:.3g} exceeds {MAX_LAMBDA_TAU}; "
-            "PMF series unreliable (moments remain available)")
 
     M = int(math.floor(1.0 / tau)) + 1
     pmf = _series(lam, tau, M)
@@ -95,10 +91,11 @@ def _series(lam: float, tau: float, M: int) -> np.ndarray:
     lg = _elementwise(math.lgamma, s + 1.0)
     # Order-s terms (n + m = s) peak at the balanced split, log gamma being
     # convex; past the last order S whose peak clears -760, exp gives 0.0.
+    # A term above 1/eps rounds by about 1 >= P(n): no digit survives.
     peak = log_base - lg[s // 2] - lg[s - s // 2]
-    if peak.max() > math.log(np.finfo(float).max):
+    if peak.max() > -math.log(np.finfo(float).eps):
         raise SeriesBreakdownError(
-            f"PMF series terms overflow at lambda={lam}, tau={tau}")
+            f"PMF series terms overflow precision at lambda={lam}, tau={tau}")
     S = int(np.flatnonzero(peak > -760.0)[-1])
     s, lg = s[:S + 1], lg[:S + 1]
     # log_terms[n, m] for n + m <= S; signs alternate with m.

@@ -1,6 +1,7 @@
 """Ideal dead-time counting distribution, moments, and moment inversion."""
 import hashlib
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -53,10 +54,31 @@ class TestPmf:
             subpoisson_pmf(25.0, 0.01)
 
     def test_rejects_term_overflow(self):
-        # lam * tau = 0.5 is in range, but the largest order's terms exceed
-        # the float range; exp would overflow into inf - inf.
+        # The largest order's terms exceed the float range; exp would
+        # overflow into inf - inf.
         with pytest.raises(SeriesBreakdownError, match="overflow"):
             subpoisson_pmf(1000.0, 5e-4)
+
+    def test_precision_breakdown_builds_no_term_matrix(self):
+        # The largest term, about e^149, exceeds 1/eps: the series is
+        # rejected before its 8 MB (S + 1)^2 term matrix exists.
+        tracemalloc.start()
+        try:
+            with pytest.raises(SeriesBreakdownError, match="overflow"):
+                subpoisson_pmf(100.0, 0.001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("lam,tau", [(1.0, 0.6), (2.0, 0.4), (3.0, 0.9),
+                                         (5.0, 0.2)])
+    def test_matches_mpmath_past_half_lambda_tau(self, lam, tau):
+        # The cancellation grows with lam, not with lam * tau.
+        pmf = subpoisson_pmf(lam, tau).pmf
+        ref = np.array([float(p) for p in _pmf_ref(lam, tau, pmf.size - 1)])
+        big = ref >= 1e-10
+        assert np.all(np.abs(pmf[big] - ref[big]) <= 1e-12 * ref[big])
 
     @pytest.mark.parametrize("lam,tau", [(-1.0, 0.01), (10.0, 0.0),
                                          (10.0, 1.0)])
@@ -66,16 +88,38 @@ class TestPmf:
 
     def test_breakdown_traceback_holds_no_term_matrix(self):
         # A caller that keeps the error (a benchmark tally, a log record)
-        # must not keep the O(M^2) term arrays alive with it.
-        with pytest.raises(SeriesBreakdownError) as info:
-            subpoisson_pmf(25.0, 0.001)
-        tb = info.value.__traceback__
-        sizes = []
-        while tb is not None:
-            sizes += [v.size for v in tb.tb_frame.f_locals.values()
-                      if isinstance(v, np.ndarray)]
-            tb = tb.tb_next
-        assert max(sizes) <= 1002  # M + 1 at tau = 0.001
+        # must not keep the O(M^2) term arrays alive with it. At lam = 17
+        # the series is summed and misses normalization; at lam = 25 its
+        # largest term exceeds 1/eps.
+        for lam in (17.0, 25.0):
+            with pytest.raises(SeriesBreakdownError) as info:
+                subpoisson_pmf(lam, 0.001)
+            tb = info.value.__traceback__
+            sizes = []
+            while tb is not None:
+                sizes += [v.size for v in tb.tb_frame.f_locals.values()
+                          if isinstance(v, np.ndarray)]
+                tb = tb.tb_next
+            assert max(sizes) <= 1002  # M + 1 at tau = 0.001
+
+
+def _pmf_ref(lam, tau, M):
+    """P(0..M) from the same series summed in 50 digits."""
+    with mpmath.workdps(50):
+        lam, tau = mpmath.mpf(lam), mpmath.mpf(tau)
+        rate = lam * mpmath.exp(-lam * tau)
+        pmf = []
+        for n in range(M + 1):
+            total = mpmath.mpf(0)
+            for m in range(M - n + 1):
+                s = n + m
+                avail = 1 - (s - 1) * tau
+                if avail < 0:
+                    continue
+                total += ((-1) ** m * (avail * rate) ** s
+                          / (mpmath.factorial(n) * mpmath.factorial(m)))
+            pmf.append(total)
+        return pmf
 
 
 class TestMoments:
