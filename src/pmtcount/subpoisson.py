@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .params import (ApproximationBreakdownError, _elementwise, check_rate,
                      check_tau)
@@ -73,8 +74,8 @@ def subpoisson_pmf(lam: float, tau: float) -> SubPoissonDist:
 
 def _series(lam: float, tau: float, M: int) -> np.ndarray:
     """P(0..M) from the alternating series, each summed exactly from its
-    log-magnitude terms. The O(M^2) term arrays live only in this frame,
-    so a SeriesBreakdownError's traceback does not keep them alive."""
+    log-magnitude terms. The one (S+1)^2 term matrix lives only in this
+    frame, so a SeriesBreakdownError's traceback does not keep it alive."""
     pmf = np.zeros(M + 1)
     if lam == 0.0:
         pmf[0] = 1.0
@@ -97,15 +98,14 @@ def _series(lam: float, tau: float, M: int) -> np.ndarray:
         raise SeriesBreakdownError(
             f"PMF series terms overflow precision at lambda={lam}, tau={tau}")
     S = int(np.flatnonzero(peak > -760.0)[-1])
-    s, lg = s[:S + 1], lg[:S + 1]
-    # log_terms[n, m] for n + m <= S; signs alternate with m.
-    idx = np.minimum(s[:, None] + s[None, :], S)
-    log_terms = log_base[idx] - lg[:, None] - lg[None, :]
-    log_terms[s[:, None] + s[None, :] > S] = -np.inf
-    terms = np.exp(log_terms)
+    # Row n of the Hankel terms[n, m] = (-1)^m e^{log_base[n+m]-lg[n]-lg[m]}
+    # is a window of the orders (-inf past S); fsum reads m <= S-n as floats.
+    orders = np.concatenate([log_base[:S + 1], np.full(S, -np.inf)])
+    terms = sliding_window_view(orders, S + 1) - lg[:S + 1, None]
+    np.exp(np.subtract(terms, lg[:S + 1], out=terms), out=terms)
     terms[:, 1::2] *= -1.0
-
-    pmf[:S + 1] = [math.fsum(terms[n, :S - n + 1]) for n in range(S + 1)]
+    flat, w = memoryview(terms.ravel()), S + 1
+    pmf[:w] = [math.fsum(flat[n * w:n * w + w - n]) for n in range(w)]
     return pmf
 
 

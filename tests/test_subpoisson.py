@@ -3,12 +3,16 @@ import hashlib
 import math
 import tracemalloc
 
+from unittest import mock
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pmtcount import (ApproximationBreakdownError, SeriesBreakdownError,
                       invert_moments, subpoisson_moments, subpoisson_pmf)
+from pmtcount import subpoisson
 from pmtcount.subpoisson import _lambert_w0
 
 # Frozen high-precision reference values at (lambda=10, tau=0.01).
@@ -42,8 +46,10 @@ class TestPmf:
                 assert abs(dist.pmf.sum() - 1.0) <= 1e-6
                 assert np.all(dist.pmf >= 0.0)
 
-    def test_rejects_large_lambda_tau(self):
-        with pytest.raises(SeriesBreakdownError):
+    def test_rejects_term_above_inverse_eps(self):
+        # The largest term, about e^38.8, exceeds 1/eps: its rounding
+        # error alone exceeds every P(n).
+        with pytest.raises(SeriesBreakdownError, match="overflow"):
             subpoisson_pmf(60.0, 0.01)
 
     def test_rejects_cancellation_breakdown(self):
@@ -71,6 +77,17 @@ class TestPmf:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_term_matrix_is_the_only_square_array(self):
+        # At (10, 0.001) the series runs to order S = 336; its one term
+        # matrix takes 8 (S + 1)^2 bytes, and no second one may join it.
+        tracemalloc.start()
+        try:
+            subpoisson_pmf(10.0, 0.001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * 337 ** 2
+
     @pytest.mark.parametrize("lam,tau", [(1.0, 0.6), (2.0, 0.4), (3.0, 0.9),
                                          (5.0, 0.2)])
     def test_matches_mpmath_past_half_lambda_tau(self, lam, tau):
@@ -88,7 +105,7 @@ class TestPmf:
 
     def test_breakdown_traceback_holds_no_term_matrix(self):
         # A caller that keeps the error (a benchmark tally, a log record)
-        # must not keep the O(M^2) term arrays alive with it. At lam = 17
+        # must not keep the (S + 1)^2 term matrix alive with it. At lam = 17
         # the series is summed and misses normalization; at lam = 25 its
         # largest term exceeds 1/eps.
         for lam in (17.0, 25.0):
@@ -120,6 +137,67 @@ def _pmf_ref(lam, tau, M):
                           / (mpmath.factorial(n) * mpmath.factorial(m)))
             pmf.append(total)
         return pmf
+
+
+def _series_square_and_mask(lam, tau, M):
+    """_series as it was before the Hankel view: the order index matrix
+    n + m gathers log_base, and a mask sets the orders past S to -inf."""
+    pmf = np.zeros(M + 1)
+    if lam == 0.0:
+        pmf[0] = 1.0
+        return pmf
+    s = np.arange(M + 1)
+    avail = 1.0 - (s - 1) * tau
+    with np.errstate(divide="ignore"):
+        log_base = s * (np.log(np.maximum(avail, 0.0))
+                        + math.log(lam) - lam * tau)
+    log_base[0] = 0.0
+    log_base[avail < 0.0] = -np.inf
+    lg = np.array([math.lgamma(k) for k in s + 1.0])
+    peak = log_base - lg[s // 2] - lg[s - s // 2]
+    if peak.max() > -math.log(np.finfo(float).eps):
+        raise SeriesBreakdownError(
+            f"PMF series terms overflow precision at lambda={lam}, tau={tau}")
+    S = int(np.flatnonzero(peak > -760.0)[-1])
+    s, lg = s[:S + 1], lg[:S + 1]
+    idx = np.minimum(s[:, None] + s[None, :], S)
+    log_terms = log_base[idx] - lg[:, None] - lg[None, :]
+    log_terms[s[:, None] + s[None, :] > S] = -np.inf
+    terms = np.exp(log_terms)
+    terms[:, 1::2] *= -1.0
+    pmf[:S + 1] = [math.fsum(terms[n, :S - n + 1]) for n in range(S + 1)]
+    return pmf
+
+
+def _pmf_outcome(lam, tau):
+    """The PMF's bytes, or the message of the SeriesBreakdownError, which
+    names the check that raised it."""
+    try:
+        return subpoisson_pmf(lam, tau).pmf.tobytes()
+    except SeriesBreakdownError as err:
+        return str(err)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(lam=st.floats(0.0, 80.0), tau=st.floats(0.001, 1.0, exclude_max=True))
+@example(lam=0.0, tau=0.1)
+@example(lam=5e-324, tau=0.01)
+@example(lam=1e-310, tau=0.5)
+@example(lam=3.0, tau=1.0 - 1e-12)
+@example(lam=10.0, tau=0.001)
+@example(lam=17.0, tau=0.001)
+@example(lam=60.0, tau=0.01)
+def test_pmf_bytes_match_square_and_mask_series(lam, tau):
+    with mock.patch.object(subpoisson, "_series", _series_square_and_mask):
+        expected = _pmf_outcome(lam, tau)
+    assert _pmf_outcome(lam, tau) == expected
+
+
+@pytest.mark.parametrize("M", [0, 1, 2])
+def test_series_matches_square_and_mask_at_lowest_orders(M):
+    # M = 0 leaves the single order S = 0, which subpoisson_pmf never asks for.
+    got = subpoisson._series(0.7, 0.4, M)
+    assert got.tobytes() == _series_square_and_mask(0.7, 0.4, M).tobytes()
 
 
 class TestMoments:
@@ -207,6 +285,7 @@ def _round_trip(mean, tau):
 
 # SHA-256 of the PMF bytes from the series summed over every order up to
 # M: dropping the orders whose terms all underflow to 0.0 moves no bit.
+# (5, 0.001) has M = 1001 and (2, 0.4) has lambda * tau = 0.8.
 PMF_DIGESTS = {
     (0.5, 0.001):
         "c7995ba417050f9af7f67151d560373f0ef62676c7385bcde1426dc9519b864c",
@@ -214,6 +293,10 @@ PMF_DIGESTS = {
         "ba94b02f34b05937efc1a00c9e1f9b065493bd7a0c2c89ab3a7cfd39ba028326",
     (10.0, 0.05):
         "663fa49852139de29e4b990c647d3f6e5a1f7254c52db8a5d9462bcc246886ad",
+    (5.0, 0.001):
+        "500ef77c3bdfc46a694910e67e51b7a9825a49e5ea03b796496c031e6a7edcdc",
+    (2.0, 0.4):
+        "1edc0fc5aa7ce7fd4d73c7f37bfd304579c78392a8040f4f3d0e1dbc682cce16",
 }
 
 
