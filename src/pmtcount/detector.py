@@ -34,27 +34,6 @@ class MlRule:
                 "threshold beyond binomial support")
 
 
-def ml_threshold(n_hat1: float, n_hat0: float, T: float) -> int:
-    """Closed-form ML count threshold at the tau* = T operating point.
-
-    Both binomials then have N = 1/(3T) and P_i = 3T * n_hat_i. Setting the
-    log-likelihood ratio to zero gives
-
-        n_th = floor( (1/(3T)) * log(r) / (log(n_hat1/n_hat0) + log(r)) ),
-        r = (1 - 3T n_hat0) / (1 - 3T n_hat1)   (> 1, so log r > 0).
-    """
-    if not (0.0 < n_hat0 < n_hat1):
-        raise ValueError("need 0 < n_hat0 < n_hat1 (separable hypotheses)")
-    if 3.0 * T * n_hat1 >= 1.0:
-        raise ValueError("3T * n_hat1 must be < 1")
-    log_r = math.log((1.0 - 3.0 * T * n_hat0) / (1.0 - 3.0 * T * n_hat1))
-    n_th = math.floor((1.0 / (3.0 * T)) * log_r
-                      / (math.log(n_hat1 / n_hat0) + log_r))
-    if not (0 <= n_th < 1.0 / (3.0 * T)):
-        raise ValueError(f"threshold {n_th} outside [0, 1/(3T))")
-    return int(n_th)
-
-
 def ml_threshold_general(approx0: BinomialApprox,
                          approx1: BinomialApprox) -> int:
     """Brute-force ML threshold for two binomials with arbitrary real N.

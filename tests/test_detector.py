@@ -8,13 +8,35 @@ from scipy.special import gammaln
 from pmtcount import (BinomialApprox, ChannelParams, ReceiverConfig, ber_mc,
                       binomial_approx, build_rule, build_rule_from_fit,
                       classify, derive_params, error_prob_analytic,
-                      moments_full, ml_threshold, ml_threshold_general)
+                      moments_full, ml_threshold_general)
 from pmtcount import moments
 from pmtcount.detector import RENORM_TOL
 from pmtcount.moments import binom_logpmf
 
 OPERATING_CFG = ReceiverConfig(T=0.01, tau=0.01, xi=0.3, sigma=0.2,
                                sigma0=0.02)
+
+
+def ml_threshold(n_hat1: float, n_hat0: float, T: float) -> int:
+    """Closed-form ML count threshold at the tau* = T operating point: the
+    paper's formula, an oracle for ml_threshold_general.
+
+    Both binomials then have N = 1/(3T) and P_i = 3T * n_hat_i. Setting the
+    log-likelihood ratio to zero gives
+
+        n_th = floor( (1/(3T)) * log(r) / (log(n_hat1/n_hat0) + log(r)) ),
+        r = (1 - 3T n_hat0) / (1 - 3T n_hat1)   (> 1, so log r > 0).
+    """
+    if not (0.0 < n_hat0 < n_hat1):
+        raise ValueError("need 0 < n_hat0 < n_hat1 (separable hypotheses)")
+    if 3.0 * T * n_hat1 >= 1.0:
+        raise ValueError("3T * n_hat1 must be < 1")
+    log_r = math.log((1.0 - 3.0 * T * n_hat0) / (1.0 - 3.0 * T * n_hat1))
+    n_th = math.floor((1.0 / (3.0 * T)) * log_r
+                      / (math.log(n_hat1 / n_hat0) + log_r))
+    if not (0 <= n_th < 1.0 / (3.0 * T)):
+        raise ValueError(f"threshold {n_th} outside [0, 1/(3T))")
+    return int(n_th)
 
 
 class TestBinomPmf:

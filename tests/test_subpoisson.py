@@ -193,6 +193,52 @@ def test_pmf_bytes_match_square_and_mask_series(lam, tau):
     assert _pmf_outcome(lam, tau) == expected
 
 
+# The analytic benchmark's 54 PMF points (lambda * tau <= 0.5).
+BENCH_PMF_GRID = [(lam, tau)
+                  for lam in (0.5, 1.0, 2.0, 5.0, 10.0, 17.0, 20.0, 25.0,
+                              50.0, 100.0)
+                  for tau in (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.5)
+                  if lam * tau <= 0.5]
+
+
+def _log_uniform_points(n, seed):
+    rng = np.random.default_rng(seed)
+    lam = np.exp(rng.uniform(math.log(0.01), math.log(80.0), n))
+    tau = np.exp(rng.uniform(math.log(5e-4), math.log(0.99), n))
+    return list(zip(lam.tolist(), tau.tolist()))
+
+
+@pytest.mark.parametrize("points", [
+    BENCH_PMF_GRID,
+    _log_uniform_points(300, 27),
+    # A 60-bit row depth flips the last bit of one entry here; 80 does not.
+    [(0.6250105998195842, 0.02374089323337325)],
+], ids=["bench_grid", "log_uniform", "depth_sentinel"])
+def test_row_depth_cut_matches_full_sum(points):
+    # The series sums each row only down to its depth; the oracle sums every
+    # term. Both must give the same PMF bytes or the same breakdown message.
+    for lam, tau in points:
+        with mock.patch.object(subpoisson, "_series", _series_square_and_mask):
+            expected = _pmf_outcome(lam, tau)
+        assert _pmf_outcome(lam, tau) == expected, (lam, tau)
+
+
+@pytest.mark.parametrize("lam,tau,full,share", [(0.5, 0.001, 15225, 1 / 3),
+                                                (10.0, 0.002, 43071, 0.4)])
+def test_rows_sum_only_terms_within_depth(lam, tau, full, share):
+    # `full` terms reach e^-760; most of them cannot move a rounded P(n).
+    lengths = []
+    fsum = math.fsum
+
+    def recording_fsum(terms):
+        lengths.append(len(terms))
+        return fsum(terms)
+
+    with mock.patch.object(subpoisson.math, "fsum", recording_fsum):
+        subpoisson._series(lam, tau, int(math.floor(1.0 / tau)) + 1)
+    assert sum(lengths) <= share * full
+
+
 @pytest.mark.parametrize("M", [0, 1, 2])
 def test_series_matches_square_and_mask_at_lowest_orders(M):
     # M = 0 leaves the single order S = 0, which subpoisson_pmf never asks for.
