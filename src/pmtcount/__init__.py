@@ -23,7 +23,7 @@ from .simulate import (ArrivalSet, SampleStream, TrialResult,
                        hist_moments, ideal_counts_hist, simulate_counts_hist,
                        simulate_symbol, synth_samples)
 from .detector import (MlRule, ber_mc, build_rule, build_rule_from_fit,
-                       classify, error_prob_analytic, ml_threshold_general)
+                       error_prob_analytic, ml_threshold_general)
 from .design import (ConditionFlags, DegenerateKlError, DesignResult,
                      check_conditions, kl_approx_01, kl_equal_n,
                      kl_general_n, kl_gap_bound, select_params)

@@ -10,7 +10,7 @@ decode the keys; scaling by 2**49 is exact in float64, so a gap test on keys
 decides as one on the float times would. Sample k = 1..n_samp of trial i is
 the cell with key i << s | k, s = n_samp.bit_length(): slot 0 of each row
 is never a cell, so keys of adjacent cells differ by 1 only within a row.
-Thermal noise is drawn later, by a source receiver_counts calls.
+Thermal noise is drawn later and added to the cell sums in place.
 """
 from __future__ import annotations
 
@@ -66,16 +66,17 @@ def receiver_counts(n: int, key: np.ndarray, amps: np.ndarray, noise,
     """Full receiver chain: held pulses -> sampling -> quantize -> edges.
 
     An arrival at t with amplitude a raises sample k (t_k = k T) by a if
-    t <= kT < t + tau. noise(cells, F) returns the thermal noise z of the
-    covered cells and the sorted keys of the cells, covered or not, whose
-    bit it inverts instead: a cell is high if F + z >= xi, inverted if
-    flipped. Counts are the 0->1 transitions, after an implicit low state
-    before the symbol."""
+    t <= kT < t + tau. noise(cells, F) adds thermal noise to F in place and
+    returns the sorted keys of the cells, covered or not, whose bit it
+    inverts. Counts are the 0->1 transitions of F >= xi, inverted if
+    flipped, after an implicit low state before the symbol."""
     cells, F = _covered_cells(key, amps, n_samp, T, tau)
-    z, flips = noise(cells, F)
-    high = cells[F + z >= xi]  # 83-100 % dense; compress only wins below ~93 %
+    flips = noise(cells, F)
+    bit = F >= xi
     if flips.size:
-        high = np.setxor1d(high, flips, assume_unique=True)
-    # A high cell starts an edge unless the key before it is high.
-    edge = np.diff(high, prepend=-1) != 1
-    return np.bincount(high.compress(edge) >> n_samp.bit_length(), minlength=n)
+        cells = np.setxor1d(cells[bit], flips, assume_unique=True)
+        bit = np.ones(cells.size, bool)
+    # A high cell starts an edge unless key - 1 is a high cell.
+    linked = np.diff(cells) == 1
+    np.greater(bit[1:], linked & bit[:-1], out=bit[1:])
+    return np.bincount(cells.compress(bit) >> n_samp.bit_length(), minlength=n)

@@ -61,11 +61,6 @@ def build_rule_from_fit(b0: BinomialApprox, b1: BinomialApprox) -> MlRule:
     return MlRule(n_th=ml_threshold_general(b0, b1), approx0=b0, approx1=b1)
 
 
-def classify(n_s: int, rule: MlRule) -> int:
-    """Decide the OOK symbol for a pulse count."""
-    return 1 if n_s > rule.n_th else 0
-
-
 def error_prob_analytic(rule: MlRule) -> float:
     """Symbol error probability under the binomial likelihoods.
 

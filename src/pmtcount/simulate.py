@@ -9,13 +9,13 @@ alone. Batch b of n trials draws all of its randomness from
 default_rng(SeedSequence(s, spawn_key=(k1, ..., km, b))) in a fixed order:
 an arrival total M ~ Poisson(lam n), M sorted uniform keys
 row << 49 | epoch in [0, n << 49) (see `_kernels`), amplitudes, then, if
-sigma0 > 0, Normal noise for the covered samples within 6 sigma0 of xi and
-the flip candidates of all other samples with their acceptance draws.
-Reductions are integer histograms that run to the largest count drawn, so
-results are identical for any worker count. Workers are threads of one
-lasting pool per worker count, rebuilt in a forked child; np.add.at and
-np.bincount hold the GIL, and 2 threads ran a fig10 point 1.0-1.6x as fast
-as 1 on 2 cores. Importing pmtcount sets two glibc malloc parameters
+sigma0 > 0, Normal noise (added in place) for the covered samples within
+6 sigma0 of xi, and flip candidates of all other samples with acceptance
+draws. Reductions are integer histograms that run to the largest count
+drawn, so results are identical for any worker count. Workers are threads
+of one lasting pool per worker count, rebuilt in a forked child; np.add.at
+and np.bincount hold the GIL, and 2 threads ran a fig10 point 1.2-1.8x as
+fast as 1 on 2 cores. Importing pmtcount sets two glibc malloc parameters
 process-wide so that batches stop page-faulting their heap in again;
 results do not depend on them.
 """
@@ -140,12 +140,11 @@ def _draw_batch(lam, cfg: ReceiverConfig | None, rng, n):
     """Draw all randomness for n trials in the ragged layout of `_kernels`:
     (key, amps, noise), or (key,) for the ideal receiver (cfg None).
 
-    The kernel calls noise(cells, F) once. Covered cells with
-    |F - xi| < 6 sigma0 get Normal(0, sigma0) noise. Every other sample
-    (F = 0 if uncovered) flips its noiseless bit with probability
+    The kernel calls noise(cells, F) once. It adds Normal(0, sigma0) noise
+    in place to the covered cells with |F - xi| < 6 sigma0. Every other
+    sample (F = 0 if uncovered) flips its noiseless bit with probability
     q = Q(|F - xi| / sigma0) <= r = max(Q(6), p): it is drawn as a
-    Bernoulli(r) candidate and accepted with probability q / r.
-    """
+    Bernoulli(r) candidate and accepted with probability q / r."""
     # Uniform rows split the Poisson(lam n) total into n Poisson(lam) rows.
     key = rng.integers(0, n << _EPOCH_BITS, rng.poisson(lam * n))
     key.sort()  # orders (row, epoch) exactly; rows keep their places
@@ -155,26 +154,26 @@ def _draw_batch(lam, cfg: ReceiverConfig | None, rng, n):
         amps = rng.normal(1.0, cfg.sigma, key.size)
     else:
         amps = np.ones(key.size)
-    n_samp, xi, sigma0 = cfg.n_samples, cfg.xi, cfg.sigma0
-    p = cfg.derived.p
+    n_samp, xi, sigma0, p = cfg.n_samples, cfg.xi, cfg.sigma0, cfg.derived.p
     r = max(gaussian_q(6.0), p)
 
     def noise(cells, F):
         if sigma0 == 0.0:
-            return 0.0, cells[:0]
-        z = np.zeros(cells.size)
-        near = np.abs(F - xi) < 6.0 * sigma0
-        z[near] = rng.normal(0.0, sigma0, np.count_nonzero(near))
+            return cells[:0]
+        near = np.flatnonzero(np.abs(F - xi) < 6.0 * sigma0)
+        z = rng.normal(0.0, sigma0, near.size)
         cand = _kernels.cell_keys(_flip_candidates(rng, n * n_samp, r), n_samp)
-        at = np.searchsorted(cells, cand)
-        hit = np.flatnonzero(at < np.searchsorted(cells, cand, "right"))
-        dist = np.abs(F[at[hit]] - xi)
-        far = dist >= 6.0 * sigma0
-        # q = p where uncovered; near cells have their Normal noise already.
-        q = np.full(cand.size, p)
-        q[hit] = 0.0
-        q[hit[far]] = gaussian_q(dist[far] / sigma0)
-        return z, cand[rng.random(cand.size) * r < q]
+        if cand.size:  # classified on the noiseless F, so before F[near] += z
+            at = np.searchsorted(cells, cand)
+            hit = np.flatnonzero(at < np.searchsorted(cells, cand, "right"))
+            dist = np.abs(F[at[hit]] - xi)
+            # q = p where uncovered, 0 where near: those cells get z instead.
+            q = np.full(cand.size, p)
+            q[hit] = np.where(dist >= 6.0 * sigma0, gaussian_q(dist / sigma0),
+                              0.0)
+            cand = cand[rng.random(cand.size) * r < q]  # the flips
+        F[near] += z
+        return cand
     return key, amps, noise
 
 

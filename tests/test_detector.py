@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from pmtcount import (BinomialApprox, ChannelParams, ReceiverConfig, ber_mc,
-                      binomial_approx, build_rule, build_rule_from_fit,
-                      classify, derive_params, error_prob_analytic,
-                      moments_full, ml_threshold_general)
+from pmtcount import (BinomialApprox, ChannelParams, MlRule, ReceiverConfig,
+                      ber_mc, binomial_approx, build_rule, build_rule_from_fit,
+                      derive_params, error_prob_analytic, moments_full,
+                      ml_threshold_general)
 from pmtcount import moments
 from pmtcount.detector import RENORM_TOL
 from pmtcount.moments import binom_logpmf
@@ -37,6 +37,12 @@ def ml_threshold(n_hat1: float, n_hat0: float, T: float) -> int:
     if not (0 <= n_th < 1.0 / (3.0 * T)):
         raise ValueError(f"threshold {n_th} outside [0, 1/(3T))")
     return int(n_th)
+
+
+def classify(n_s: int, rule: MlRule) -> int:
+    """Decide the OOK symbol for a pulse count: the ML rule's one-line
+    oracle."""
+    return 1 if n_s > rule.n_th else 0
 
 
 class TestBinomPmf:

@@ -30,6 +30,33 @@ def _decode(key):
             (key & ((1 << _EPOCH_BITS) - 1)) * 2.0 ** -_EPOCH_BITS)
 
 
+# (lam, cfg, dead-time tau) of the batch kernel cases.
+KERNEL_CASES = [
+    (10.0, ReceiverConfig(T=0.01, tau=0.02, xi=0.3, sigma=0.2,
+                          sigma0=0.02), 0.01),
+    # T > tau: a pulse covers at most one sample.
+    (10.0, ReceiverConfig(T=0.02, tau=0.005, xi=0.3, sigma=0.2,
+                          sigma0=0.02), 0.005),
+    # Noiseless wide pulse: empty noise array, 10-11 samples per pulse.
+    (10.0, ReceiverConfig(T=0.002, tau=0.02, xi=0.3), 0.02),
+    # No arrivals in the whole batch, thermal noise only.
+    (0.0, ReceiverConfig(T=0.01, tau=0.02, xi=0.3, sigma=0.2,
+                         sigma0=0.3), 0.02),
+    # xi < 6 sigma0: uncovered flips next to covered cells.
+    (10.0, ReceiverConfig(T=0.01, tau=0.02, xi=0.06, sigma=0.2,
+                          sigma0=0.02), 0.02),
+    # Noisy wide pulse: up to 10 cells per pulse, so the order in which
+    # a cell sums its pulses matters most.
+    (10.0, ReceiverConfig(T=0.002, tau=0.02, xi=0.3, sigma=0.2,
+                          sigma0=0.02), 0.02),
+    # tau / T not an integer: pulses cover 1 or 2 samples.
+    (10.0, ReceiverConfig(T=0.01, tau=0.015, xi=0.3, sigma=0.2,
+                          sigma0=0.02), 0.015),
+]
+KERNEL_IDS = ["fig6_noisy", "T_gt_tau", "noiseless_wide", "no_arrivals",
+              "near_band", "noisy_wide", "fractional_tau"]
+
+
 class TestArrivals:
     def test_zero_rate_is_empty(self):
         rng = np.random.default_rng(0)
@@ -265,29 +292,8 @@ class TestBatchEngine:
         h4 = ideal_counts_hist(10.0, 0.01, 50_000, seed=7, workers=4)
         assert np.array_equal(h1, h4)
 
-    @pytest.mark.parametrize("lam,cfg,dead_tau", [
-        (10.0, ReceiverConfig(T=0.01, tau=0.02, xi=0.3, sigma=0.2,
-                              sigma0=0.02), 0.01),
-        # T > tau: a pulse covers at most one sample.
-        (10.0, ReceiverConfig(T=0.02, tau=0.005, xi=0.3, sigma=0.2,
-                              sigma0=0.02), 0.005),
-        # Noiseless wide pulse: empty noise array, 10-11 samples per pulse.
-        (10.0, ReceiverConfig(T=0.002, tau=0.02, xi=0.3), 0.02),
-        # No arrivals in the whole batch, thermal noise only.
-        (0.0, ReceiverConfig(T=0.01, tau=0.02, xi=0.3, sigma=0.2,
-                             sigma0=0.3), 0.02),
-        # xi < 6 sigma0: uncovered flips next to covered cells.
-        (10.0, ReceiverConfig(T=0.01, tau=0.02, xi=0.06, sigma=0.2,
-                              sigma0=0.02), 0.02),
-        # Noisy wide pulse: up to 10 cells per pulse, so the order in which
-        # a cell sums its pulses matters most.
-        (10.0, ReceiverConfig(T=0.002, tau=0.02, xi=0.3, sigma=0.2,
-                              sigma0=0.02), 0.02),
-        # tau / T not an integer: pulses cover 1 or 2 samples.
-        (10.0, ReceiverConfig(T=0.01, tau=0.015, xi=0.3, sigma=0.2,
-                              sigma0=0.02), 0.015),
-    ], ids=["fig6_noisy", "T_gt_tau", "noiseless_wide", "no_arrivals",
-            "near_band", "noisy_wide", "fractional_tau"])
+    @pytest.mark.parametrize("lam,cfg,dead_tau", KERNEL_CASES,
+                             ids=KERNEL_IDS)
     def test_kernel_paths_agree_bitwise(self, lam, cfg, dead_tau):
         # Every row of a drawn batch must get the count that the
         # single-trial rule gives: samples at kT, covered when
@@ -297,20 +303,29 @@ class TestBatchEngine:
         rng = _batch_rng(seed=11, batch_index=0)
         key, amps, noise = _draw_batch(lam, cfg, rng, 4096)
         row, times = _decode(key)
+        # A twin of the batch's stream: its next draws are the Normals.
+        twin = _batch_rng(seed=11, batch_index=0)
+        _draw_batch(lam, cfg, twin, 4096)
         drawn = []
 
         def recorded(cells, F):
-            drawn.append((cells, F.copy(), *noise(cells, F)))
-            return drawn[-1][2:]
+            clean = F.copy()
+            flips = noise(cells, F)
+            drawn.append((cells, clean, F, flips))
+            return flips
         n_samp = cfg.n_samples
         got = _kernels.receiver_counts(4096, key, amps, recorded,
                                        n_samp, cfg.T, cfg.tau, cfg.xi)
-        [(cells, F, cell_noise, flips)] = drawn
-        # Normal noise went to exactly the cells within 6 sigma0 of xi, and
-        # the flipped cells are distinct and none of those.
+        [(cells, F, noisy, flips)] = drawn
+        # Normal noise, the stream's next draws, was added in place to
+        # exactly the cells within 6 sigma0 of xi, and the flipped cells are
+        # distinct and none of those.
         near = np.abs(F - cfg.xi) < 6.0 * cfg.sigma0
-        assert np.array_equal(np.broadcast_to(cell_noise, F.shape) != 0.0,
-                              near)
+        cell_noise = np.zeros(F.size)
+        cell_noise[near] = twin.normal(0.0, cfg.sigma0,
+                                       np.count_nonzero(near))
+        assert np.array_equal(noisy, F + cell_noise)
+        assert np.array_equal(noisy != F, near)
         assert np.unique(flips).size == flips.size
         assert not np.isin(flips, cells[near]).any()
         shift = n_samp.bit_length()
@@ -342,6 +357,43 @@ class TestBatchEngine:
         for i in range(4096):
             t = np.sort(times[row == i])
             assert got[i] == (t.size > 0) + int((np.diff(t) > dead_tau).sum())
+
+    @pytest.mark.parametrize("lam,cfg", [c[:2] for c in KERNEL_CASES] + [
+        # The fig6 receiver at sigma0 = 0.2: p = Q(2.5), flips in every batch.
+        (10.0, ReceiverConfig(T=0.01, tau=0.02, xi=0.5, sigma=0.2,
+                              sigma0=0.2))], ids=KERNEL_IDS + ["fig6_flips"])
+    def test_readout_matches_gather_and_diff_oracle(self, lam, cfg):
+        # The kernel reads edges off the bitmask of its cells. The oracle
+        # gathers the keys of the high cells, inverts the flipped ones and
+        # counts each key that does not follow its predecessor by 1.
+        key, amps, noise = _draw_batch(lam, cfg, _batch_rng(23, 0), 4096)
+        twin = _batch_rng(23, 0)  # its next draws are the Normals
+        _draw_batch(lam, cfg, twin, 4096)
+        drawn = []
+
+        def recorded(cells, F):
+            clean = F.copy()
+            out = noise(cells, F)
+            drawn.append((cells, clean, out))
+            return out
+        got = _kernels.receiver_counts(4096, key, amps, recorded,
+                                       cfg.n_samples, cfg.T, cfg.tau, cfg.xi)
+        [(cells, F, out)] = drawn
+        # The source returns the flips, after (z, ...) if it does not add z
+        # in place; the oracle takes z from the twin stream either way.
+        flips = out[-1] if isinstance(out, tuple) else out
+        near = np.abs(F - cfg.xi) < 6.0 * cfg.sigma0
+        z = np.zeros(F.size)
+        z[near] = twin.normal(0.0, cfg.sigma0, np.count_nonzero(near))
+        high = cells[F + z >= cfg.xi]
+        if flips.size:
+            high = np.setxor1d(high, flips, assume_unique=True)
+        edge = np.diff(high, prepend=-1) != 1
+        want = np.bincount(high.compress(edge) >> cfg.n_samples.bit_length(),
+                           minlength=4096)
+        assert np.array_equal(got, want)
+        # Both branches run: flips are drawn where p makes them likely.
+        assert (flips.size > 0) == (cfg.derived.p > 1e-4)
 
     def test_cell_sums_add_pulses_in_arrival_order(self):
         # Float sums depend on their order once 3 pulses share a cell: each
