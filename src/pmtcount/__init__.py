@@ -11,7 +11,7 @@ Library layout:
 """
 
 from .params import (ChannelParams, DerivedParams, ReceiverConfig,
-                     derive_params, gaussian_q, thermal_sigma_from_physical)
+                     derive_params, gaussian_q)
 from .subpoisson import (SeriesBreakdownError, SubPoissonDist, invert_moments,
                          subpoisson_moments, subpoisson_pmf)
 from .moments import (ApproximationBreakdownError, BinomialApprox,
@@ -19,8 +19,8 @@ from .moments import (ApproximationBreakdownError, BinomialApprox,
                       moments_approx_noiseless, moments_exact_noiseless,
                       moments_full, moments_shot)
 from .simulate import (ArrivalSet, SampleStream, TrialResult,
-                       count_rising_edges, estimate_moments_mc, gen_arrivals,
-                       hist_moments, ideal_counts_hist, simulate_counts_hist,
+                       count_rising_edges, gen_arrivals, hist_moments,
+                       ideal_counts_hist, simulate_counts_hist,
                        simulate_symbol, synth_samples)
 from .detector import (MlRule, ber_mc, build_rule, build_rule_from_fit,
                        error_prob_analytic, ml_threshold_general)

@@ -19,8 +19,8 @@ RENORM_TOL = 1e-6
 class MlRule:
     """Count-threshold decision rule: decide 1 iff n_s > n_th.
 
-    Ties (n_s = n_th) decide 0, consistent with the floor in the
-    closed-form threshold.
+    n_th is the largest count at which hypothesis 0 is strictly more
+    likely, so a tie (n_s = n_th) decides 0.
     """
     n_th: int
     approx0: BinomialApprox

@@ -1,8 +1,7 @@
 """Shared parameter types, validation, and the Gaussian tail function.
 
 All quantities are dimensionless: the symbol duration is normalized to 1
-and the mean pulse height to 1. The only bridge to physical units is
-:func:`thermal_sigma_from_physical`.
+and the mean pulse height to 1.
 """
 from __future__ import annotations
 
@@ -12,9 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
-
-# Boltzmann constant [J/K], used only by the physical-unit helper.
-_BOLTZMANN = 1.380649e-23
 
 
 def _elementwise(f, x) -> np.ndarray:
@@ -54,20 +50,6 @@ def check_tau(tau: float) -> None:
     """Raise ValueError unless the holding time tau is in (0, 1)."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"holding time tau={tau} must be in (0, 1)")
-
-
-def thermal_sigma_from_physical(temperature_k: float, symbol_duration_s: float,
-                                load_resistance_ohm: float) -> float:
-    """Normalized thermal-noise std dev from physical receiver parameters.
-
-    sigma0^2 = 2 * k_B * T0 * Ts / R, with T0 in kelvin, Ts in seconds and
-    R in ohms. Returned value feeds ReceiverConfig.sigma0 directly.
-    """
-    if not all(0.0 < v < math.inf for v in (temperature_k, symbol_duration_s,
-                                            load_resistance_ohm)):
-        raise ValueError("physical parameters must be positive and finite")
-    return math.sqrt(2.0 * _BOLTZMANN * temperature_k * symbol_duration_s
-                     / load_resistance_ohm)
 
 
 @dataclass(frozen=True)

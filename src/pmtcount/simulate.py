@@ -250,17 +250,3 @@ def hist_moments(hist: np.ndarray) -> tuple[float, float]:
         return mean, 0.0
     var = (s2 - s1 * s1 / n) / (n - 1)
     return mean, var
-
-
-def estimate_moments_mc(lam: float, cfg: ReceiverConfig, trials: int,
-                        seed: int | tuple, workers: int = 1
-                        ) -> tuple[float, float, float]:
-    """Monte Carlo mean, variance and standard error of the mean of n_s.
-
-    A single trial yields variance 0 (flagged by the degenerate value, not
-    an error).
-    """
-    hist = simulate_counts_hist(lam, cfg, trials, seed, workers)
-    mean, var = hist_moments(hist)
-    std_error = (var / trials) ** 0.5
-    return mean, var, std_error

@@ -7,8 +7,7 @@ from scipy import special
 
 from pmtcount import (ChannelParams, ReceiverConfig, derive_params,
                       gaussian_q, gen_arrivals, moments_full,
-                      subpoisson_moments, subpoisson_pmf,
-                      thermal_sigma_from_physical)
+                      subpoisson_moments, subpoisson_pmf)
 
 # Frozen high-precision reference values (computed with an independent
 # arbitrary-precision erfc oracle before the build).
@@ -49,20 +48,6 @@ class TestGaussianQ:
         x = np.linspace(-8.0, 8.0, 1601)
         ref = 0.5 * special.erfc(x / math.sqrt(2.0))
         assert np.allclose(gaussian_q(x), ref, rtol=1e-14, atol=0.0)
-
-
-class TestThermalSigma:
-    def test_physical_conversion(self):
-        # sigma0^2 = 2 k_B T0 Ts / R with k_B = 1.380649e-23 J/K.
-        sigma0 = thermal_sigma_from_physical(300.0, 1e-6, 50.0)
-        assert sigma0 == pytest.approx(
-            math.sqrt(2.0 * 1.380649e-23 * 300.0 * 1e-6 / 50.0), rel=1e-12)
-
-    @pytest.mark.parametrize("args", [(0.0, 1e-6, 50.0), (300.0, 0.0, 50.0),
-                                      (300.0, 1e-6, -1.0)])
-    def test_rejects_nonpositive(self, args):
-        with pytest.raises(ValueError):
-            thermal_sigma_from_physical(*args)
 
 
 class TestReceiverConfig:
@@ -164,10 +149,9 @@ class TestDeriveParams:
     lambda: subpoisson_moments(math.inf, 0.01),
     lambda: moments_full(math.nan, ReceiverConfig(T=0.01, tau=0.02, xi=0.3)),
     lambda: gen_arrivals(math.inf, np.random.default_rng(0)),
-    lambda: thermal_sigma_from_physical(math.inf, 1e-6, 50.0),
 ], ids=["xi_nan", "xi_inf", "sigma_nan", "sigma0_inf", "lambda1_inf",
         "lambda0_nan", "lambda1_nan", "pmf_nan", "subpoisson_moments_inf",
-        "moments_full_nan", "gen_arrivals_inf", "thermal_inf"])
+        "moments_full_nan", "gen_arrivals_inf"])
 def test_nonfinite_parameters_rejected(build):
     with pytest.raises(ValueError):
         build()

@@ -15,9 +15,9 @@ from scipy.stats import chi2_contingency, chisquare, poisson
 
 import pmtcount
 from pmtcount import (ReceiverConfig, count_rising_edges, derive_params,
-                      estimate_moments_mc, gen_arrivals, hist_moments,
-                      ideal_counts_hist, moments_exact_noiseless,
-                      simulate_counts_hist, simulate_symbol, synth_samples)
+                      gen_arrivals, hist_moments, ideal_counts_hist,
+                      moments_exact_noiseless, simulate_counts_hist,
+                      simulate_symbol, synth_samples)
 from pmtcount import _kernels, simulate
 from pmtcount._kernels import _EPOCH_BITS
 from pmtcount.simulate import (BATCH_SIZE, _batch_rng, _draw_batch,
@@ -443,8 +443,9 @@ class TestBatchEngine:
         rng = np.random.default_rng(9)
         single = np.array([simulate_symbol(10.0, cfg, rng).n_s
                            for _ in range(20_000)])
-        mean_b, _, se = estimate_moments_mc(10.0, cfg, 100_000, seed=10)
-        se_tot = math.sqrt(single.var() / single.size + se ** 2)
+        mean_b, var_b = hist_moments(
+            simulate_counts_hist(10.0, cfg, 100_000, seed=10))
+        se_tot = math.sqrt(single.var() / single.size + var_b / 100_000)
         assert abs(single.mean() - mean_b) < 4.0 * se_tot
 
     @pytest.mark.parametrize("lam,xi,tau,sigma0,seed", [
@@ -481,7 +482,9 @@ class TestBatchEngine:
         # p + (n_samp - 1) p (1 - p).
         cfg = ReceiverConfig(T=0.01, tau=0.02, xi=0.3, sigma0=0.3)
         p = derive_params(cfg).p
-        mean, _, se = estimate_moments_mc(0.0, cfg, 50_000, seed=29)
+        mean, var = hist_moments(simulate_counts_hist(0.0, cfg, 50_000,
+                                                      seed=29))
+        se = math.sqrt(var / 50_000)
         exact = p + (cfg.n_samples - 1) * p * (1.0 - p)
         assert abs(mean - exact) < 4.0 * se
 
@@ -566,7 +569,9 @@ class TestBatchEngine:
 
     def test_mean_matches_analytic(self):
         cfg = ReceiverConfig(T=0.01, tau=0.01, xi=0.3)
-        mean, _, se = estimate_moments_mc(10.0, cfg, 200_000, seed=12)
+        mean, var = hist_moments(simulate_counts_hist(10.0, cfg, 200_000,
+                                                      seed=12))
+        se = math.sqrt(var / 200_000)
         ref = moments_exact_noiseless(10.0, cfg).mean
         assert abs(mean - ref) < 4.0 * se
 
@@ -579,8 +584,9 @@ class TestBatchEngine:
 
     def test_single_trial_degenerate_variance(self):
         cfg = ReceiverConfig(T=0.01, tau=0.01, xi=0.3)
-        _, var, se = estimate_moments_mc(10.0, cfg, 1, seed=13)
-        assert var == 0.0 and se == 0.0
+        # One trial has no spread to estimate: variance 0, not an error.
+        _, var = hist_moments(simulate_counts_hist(10.0, cfg, 1, seed=13))
+        assert var == 0.0
 
     @pytest.mark.parametrize("trials", [0, -5])
     def test_rejects_bad_trials(self, trials):
