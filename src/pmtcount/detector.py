@@ -10,10 +10,6 @@ from .moments import BinomialApprox, binomial_approx, moments_full
 from .params import ApproximationBreakdownError, ChannelParams, ReceiverConfig
 from .simulate import simulate_counts_hist
 
-# Renormalization of the real-N binomial PMF must stay below this at a
-# valid operating point.
-RENORM_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class MlRule:

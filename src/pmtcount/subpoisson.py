@@ -75,23 +75,20 @@ def subpoisson_pmf(lam: float, tau: float) -> SubPoissonDist:
 
 def _series(lam: float, tau: float, M: int) -> np.ndarray:
     """P(0..M) from the alternating series, each row summed exactly over
-    the terms that can reach its rounded value. The one (S+1)^2 term matrix
-    lives only in this frame, so a SeriesBreakdownError's traceback does
-    not keep it alive."""
+    the terms that can reach its rounded value. The term block lives only
+    in this frame: a SeriesBreakdownError's traceback cannot keep it."""
     pmf = np.zeros(M + 1)
     if lam == 0.0:
         pmf[0] = 1.0
         return pmf
     s = np.arange(M + 1)
-    # base[s] = log of [(1-(s-1)tau) lam e^{-lam tau}]^s ; s = 0 gives 1.
+    # log [(1-(s-1)tau) lam e^{-lam tau}]^s: 0 at s = 0, -inf once avail <= 0.
     avail = 1.0 - (s - 1) * tau
     with np.errstate(divide="ignore"):
         log_base = s * (np.log(np.maximum(avail, 0.0))
                         + math.log(lam) - lam * tau)
-    log_base[0] = 0.0
-    log_base[avail < 0.0] = -np.inf
 
-    lg = _elementwise(math.lgamma, s + 1.0)
+    lg = _elementwise(math.lgamma, s[:(M + 1) // 2 + 1] + 1.0)
     # Order-s terms (n + m = s) peak at the balanced split, log gamma being
     # convex; past the last order S whose peak clears -760, exp gives 0.0.
     # A term above 1/eps rounds by about 1 >= P(n): no digit survives.
@@ -100,25 +97,32 @@ def _series(lam: float, tau: float, M: int) -> np.ndarray:
         raise SeriesBreakdownError(
             f"PMF series terms overflow precision at lambda={lam}, tau={tau}")
     S = int(np.flatnonzero(peak > -760.0)[-1])
+    lg = np.append(lg, _elementwise(math.lgamma, s[lg.size:S + 1] + 1.0))
     # Row n of the Hankel terms[n, m] = (-1)^m e^{log_base[n+m]-lg[n]-lg[m]}
     # is a window of the orders (-inf past S).
     orders = np.concatenate([log_base[:S + 1], np.full(S, -np.inf)])
-    terms = sliding_window_view(orders, S + 1) - lg[:S + 1, None]
-    np.subtract(terms, lg[:S + 1], out=terms)
     # Row n sums its first h[n] terms, through the last within depth of the
     # row's largest. Log terms are concave in m, so what goes is a tail of
     # at most S + 1 terms below (row max) e^{-depth}: 2^-80 of the
     # e^{-2 lam} (row max) that the cancellation lets P(n) resolve at best.
     # That this moves no bit is measured, not proven; a 60-bit margin did.
+    # Only K columns are built, K doubling until each row ends below its cut.
     depth = 2.0 * lam + math.log(S + 1) + 80.0 * math.log(2.0)
-    near = terms[:, ::-1] >= (terms.max(axis=1) - depth)[:, None]
-    flat, w = memoryview(terms.ravel()), S + 1
-    h = w - np.argmax(near, axis=1)  # near runs m backwards: the last one
+    K = 32
+    while True:
+        K = min(2 * K, S + 1)
+        terms = sliding_window_view(orders, K)[:S + 1] - lg[:S + 1, None]
+        np.subtract(terms, lg[:K], out=terms)
+        cut = terms.max(axis=1) - depth
+        if K > S or np.all(terms[:, -1] < cut):
+            break
+    flat = memoryview(terms.ravel())
+    h = K - np.argmax(terms[:, ::-1] >= cut[:, None], axis=1)  # last m >= cut
     head = terms[:, :h.max()]
     np.exp(head, out=head)
     head[:, 1::2] *= -1.0
-    pmf[:w] = [math.fsum(flat[n * w:n * w + k])
-               for n, k in enumerate(h.tolist())]
+    pmf[:S + 1] = [math.fsum(flat[n * K:n * K + k])
+                   for n, k in enumerate(h.tolist())]
     return pmf
 
 

@@ -10,11 +10,13 @@ from pmtcount import (BinomialApprox, ChannelParams, MlRule, ReceiverConfig,
                       derive_params, error_prob_analytic, moments_full,
                       ml_threshold_general)
 from pmtcount import moments
-from pmtcount.detector import RENORM_TOL
 from pmtcount.moments import binom_logpmf
 
 OPERATING_CFG = ReceiverConfig(T=0.01, tau=0.01, xi=0.3, sigma=0.2,
                                sigma0=0.02)
+# Renormalization of the real-N binomial PMF must stay below this at a
+# valid operating point.
+RENORM_TOL = 1e-6
 
 
 def ml_threshold(n_hat1: float, n_hat0: float, T: float) -> int:

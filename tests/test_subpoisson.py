@@ -67,7 +67,7 @@ class TestPmf:
 
     def test_precision_breakdown_builds_no_term_matrix(self):
         # The largest term, about e^149, exceeds 1/eps: the series is
-        # rejected before its 8 MB (S + 1)^2 term matrix exists.
+        # rejected before its term block exists.
         tracemalloc.start()
         try:
             with pytest.raises(SeriesBreakdownError, match="overflow"):
@@ -88,6 +88,33 @@ class TestPmf:
             tracemalloc.stop()
         assert peak < 2 * 8 * 337 ** 2
 
+    def test_term_block_is_below_one_square(self):
+        # At (10, 0.001) no row sums past column 70 of S + 1 = 337, so the
+        # block is 337 x 128 and the call peaks below one 8 (S + 1)^2 square.
+        tracemalloc.start()
+        try:
+            subpoisson_pmf(10.0, 0.001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 337 ** 2
+
+    def test_lgamma_only_where_read(self):
+        # The peak test reads log gamma up to ceil(M / 2) = 501 and the block
+        # up to S = 336, not up to M = 1001.
+        sizes = []
+        elementwise = subpoisson._elementwise
+
+        def recording_elementwise(f, x):
+            if f is math.lgamma:
+                sizes.append(np.size(x))
+            return elementwise(f, x)
+
+        with mock.patch.object(subpoisson, "_elementwise",
+                               recording_elementwise):
+            subpoisson_pmf(10.0, 0.001)
+        assert sum(sizes) <= 502
+
     @pytest.mark.parametrize("lam,tau", [(1.0, 0.6), (2.0, 0.4), (3.0, 0.9),
                                          (5.0, 0.2)])
     def test_matches_mpmath_past_half_lambda_tau(self, lam, tau):
@@ -105,7 +132,7 @@ class TestPmf:
 
     def test_breakdown_traceback_holds_no_term_matrix(self):
         # A caller that keeps the error (a benchmark tally, a log record)
-        # must not keep the (S + 1)^2 term matrix alive with it. At lam = 17
+        # must not keep the term block alive with it. At lam = 17
         # the series is summed and misses normalization; at lam = 25 its
         # largest term exceeds 1/eps.
         for lam in (17.0, 25.0):
@@ -244,6 +271,32 @@ def test_series_matches_square_and_mask_at_lowest_orders(M):
     # M = 0 leaves the single order S = 0, which subpoisson_pmf never asks for.
     got = subpoisson._series(0.7, 0.4, M)
     assert got.tobytes() == _series_square_and_mask(0.7, 0.4, M).tobytes()
+
+
+@pytest.mark.parametrize("lam,tau,widths,breaks", [
+    (10.0, 0.001, [64, 128], False),
+    (20.0, 0.002, [64, 128], True),   # summed, then misses normalization
+    (20.0, 0.01, [64, 101], False),   # the doubling stops at S + 1 = 101
+    (5.0, 0.02, [51], False),         # S + 1 = 51: the full width at once
+])
+def test_term_block_matches_square_and_mask_series(lam, tau, widths, breaks):
+    # The block's width K doubles until every row ends below its cut; the
+    # PMF bytes or breakdown message must be those of the full square.
+    built = []
+    window = subpoisson.sliding_window_view
+
+    def recording_window(x, k):
+        built.append(k)
+        return window(x, k)
+
+    with mock.patch.object(subpoisson, "sliding_window_view",
+                           recording_window):
+        got = _pmf_outcome(lam, tau)
+    with mock.patch.object(subpoisson, "_series", _series_square_and_mask):
+        expected = _pmf_outcome(lam, tau)
+    assert built == widths
+    assert isinstance(expected, str) == breaks
+    assert got == expected
 
 
 class TestMoments:
