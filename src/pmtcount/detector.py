@@ -8,7 +8,8 @@ import numpy as np
 
 from .moments import BinomialApprox, binomial_approx, moments_full
 from .params import ApproximationBreakdownError, ChannelParams, ReceiverConfig
-from .simulate import simulate_counts_hist
+# simulate_counts_hist stays importable here: perfbench traces it at detector.
+from .simulate import simulate_counts_hist, simulate_counts_hists
 
 
 @dataclass(frozen=True)
@@ -76,9 +77,9 @@ def ber_mc(channel: ChannelParams, cfg: ReceiverConfig, symbols: int,
     """Monte Carlo bit error rate over i.i.d. equiprobable OOK symbols.
 
     Hypothesis h runs on the stream key `seed` extended by h (an int s
-    gives (s, 0) and (s, 1); see `simulate`), applies the rule built from
-    analytic moments unless one is supplied, and returns (ber,
-    binomial-proportion standard error).
+    gives (s, 0) and (s, 1); see `simulate`); both are drawn in one pass.
+    Applies the rule built from analytic moments unless one is supplied,
+    and returns (ber, binomial-proportion standard error).
     """
     if symbols < 1:
         raise ValueError("symbols must be >= 1")
@@ -87,12 +88,10 @@ def ber_mc(channel: ChannelParams, cfg: ReceiverConfig, symbols: int,
     n0 = symbols // 2
     n1 = symbols - n0
     key = seed if isinstance(seed, tuple) else (seed,)
-    errors = 0
-    if n0:
-        h0 = simulate_counts_hist(channel.lambda0, cfg, n0, (*key, 0), workers)
-        errors += int(h0[rule.n_th + 1:].sum())
-    h1 = simulate_counts_hist(channel.lambda1, cfg, n1, (*key, 1), workers)
-    errors += int(h1[:rule.n_th + 1].sum())
+    runs = [(channel.lambda0, n0, (*key, 0)), (channel.lambda1, n1, (*key, 1))]
+    *h0, h1 = simulate_counts_hists(runs if n0 else runs[1:], cfg, workers)
+    errors = (sum(int(h[rule.n_th + 1:].sum()) for h in h0)
+              + int(h1[:rule.n_th + 1].sum()))
     ber = errors / symbols
     std_error = math.sqrt(max(ber * (1.0 - ber), 1.0 / symbols) / symbols)
     return ber, std_error

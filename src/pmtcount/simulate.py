@@ -12,12 +12,13 @@ row << 49 | epoch in [0, n << 49) (see `_kernels`), amplitudes, then, if
 sigma0 > 0, Normal noise (added in place) for the covered samples within
 6 sigma0 of xi, and flip candidates of all other samples with acceptance
 draws. Reductions are integer histograms that run to the largest count
-drawn, so results are identical for any worker count. Workers are threads
-of one lasting pool per worker count, rebuilt in a forked child; np.add.at
-and np.bincount hold the GIL, and 2 threads ran a fig10 point 1.2-1.8x as
-fast as 1 on 2 cores. Importing pmtcount sets two glibc malloc parameters
-process-wide so that batches stop page-faulting their heap in again;
-results do not depend on them.
+drawn, so results are identical for any worker count. N workers are the
+caller and N - 1 threads of a lasting pool (rebuilt in a forked child)
+taking batches in turn; a `ber` point's two runs share one pass, heaviest
+batches first. np.add.at and np.bincount hold the GIL; 2 threads ran a
+fig10 point 1.3-1.5x as fast as 1 on 2 cores. Importing pmtcount sets two
+glibc malloc parameters so that batches stop page-faulting their heap in
+again; results do not depend on them.
 """
 from __future__ import annotations
 
@@ -177,64 +178,89 @@ def _draw_batch(lam, cfg: ReceiverConfig | None, rng, n):
     return key, amps, noise
 
 
-@cache
-def _pool(workers: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(max_workers=workers)
-
-
-# A forked child inherits the cached pools but none of their threads.
+# One lasting pool per thread count. A forked child inherits the cached
+# pools but none of their threads.
+_pool = cache(ThreadPoolExecutor)
 os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def _map_batches(worker, n_batches: int, workers: int):
-    """Run worker(batch_index) for all batches, results in batch order."""
-    if workers <= 1 or n_batches <= 1:
-        return [worker(b) for b in range(n_batches)]
-    return list(_pool(workers).map(worker, range(n_batches)))
+    """worker(b) for each batch index b, in batch order, run by the caller
+    and up to workers - 1 pool threads taking each next b from one iterator;
+    after a raise none is handed out, and the first is raised at the end."""
+    results, errors, indices = [None] * n_batches, [], iter(range(n_batches))
+
+    def drain():
+        for b in indices:  # next() on a range iterator holds the GIL
+            try:
+                results[b] = worker(b)
+            except BaseException as e:
+                errors.append(e)
+                list(indices)  # hands out the rest to no one
+    helpers = [_pool(workers - 1).submit(drain)
+               for _ in range(min(workers, n_batches) - 1)]
+    drain()
+    for h in helpers:
+        h.result()
+    if errors:
+        raise errors[0]
+    return results
 
 
-def _counts_hist(lam, cfg, kernel, trials, seed, workers):
-    """Histogram of kernel(n, *batch) over `trials` symbols.
+def _counts_hists(runs, cfg, kernel, workers):
+    """Histograms of kernel(n, *batch), one per run (lam, trials, seed).
 
-    Batch b of n_batches = ceil(trials / size) has trials // n_batches
-    trials, one more if b < trials % n_batches, drawn from _batch_rng(seed,
-    b); bincounts are summed exactly and run to the largest count drawn.
-    """
-    check_rate(lam)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    Run batch b of n_batches = ceil(trials / size) has trials // n_batches
+    trials, one more if b < trials % n_batches, from _batch_rng(seed, b).
+    All batches share one pass on `workers` threads, the caller being one,
+    most expected arrivals lam * n first; bincounts are summed exactly."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    # About 2**15 expected arrivals; tested first, as 2**15 / lam overflows
-    # for subnormal lam.
-    size = (BATCH_SIZE if lam * BATCH_SIZE <= 2**15
-            else max(1, int(2**15 / lam)))
-    n_batches = -(-trials // size)
+    batches = []
+    for r, (lam, trials, seed) in enumerate(runs):
+        check_rate(lam)
+        if trials < 1:
+            raise ValueError("trials must be >= 1")
+        # About 2**15 expected arrivals; tested first, as 2**15 / lam
+        # overflows for subnormal lam.
+        size = (BATCH_SIZE if lam * BATCH_SIZE <= 2**15
+                else max(1, int(2**15 / lam)))
+        n_batches = -(-trials // size)
+        batches += [(r, lam, trials // n_batches + (b < trials % n_batches),
+                     seed, b) for b in range(n_batches)]
+    batches.sort(key=lambda x: -x[1] * x[2])  # ties keep run, batch order
 
-    def worker(b):
-        n = trials // n_batches + (b < trials % n_batches)
+    def worker(i):
+        _, lam, n, seed, b = batches[i]
         batch = _draw_batch(lam, cfg, _batch_rng(seed, b), n)
         return np.bincount(kernel(n, *batch))
 
-    hists = _map_batches(worker, n_batches, workers)
-    length = max(h.size for h in hists)
-    return np.sum([np.pad(h, (0, length - h.size)) for h in hists], axis=0)
+    hists = _map_batches(worker, len(batches), workers)
+    total = np.zeros((len(runs), max(h.size for h in hists)), np.intp)
+    for (r, *_), h in zip(batches, hists):
+        total[r, :h.size] += h
+    return [np.trim_zeros(t, "b") for t in total]  # to the largest count drawn
+
+
+def simulate_counts_hists(runs, cfg: ReceiverConfig, workers: int = 1):
+    """Recorded-pulse-count histograms of receiver runs, in one pass."""
+    kernel = partial(_kernels.receiver_counts, n_samp=cfg.n_samples, T=cfg.T,
+                     tau=cfg.tau, xi=cfg.xi)
+    return _counts_hists(runs, cfg, kernel, workers)
 
 
 def simulate_counts_hist(lam: float, cfg: ReceiverConfig, trials: int,
                          seed: int | tuple, workers: int = 1) -> np.ndarray:
     """Histogram of recorded pulse counts over `trials` receiver symbols."""
-    kernel = partial(_kernels.receiver_counts, n_samp=cfg.n_samples, T=cfg.T,
-                     tau=cfg.tau, xi=cfg.xi)
-    return _counts_hist(lam, cfg, kernel, trials, seed, workers)
+    return simulate_counts_hists([(lam, trials, seed)], cfg, workers)[0]
 
 
 def ideal_counts_hist(lam: float, tau: float, trials: int, seed: int | tuple,
                       workers: int = 1) -> np.ndarray:
     """Histogram of dead-time-censored counts for the ideal receiver."""
     check_tau(tau)
-    return _counts_hist(lam, None, partial(_kernels.dead_time_counts, tau=tau),
-                        trials, seed, workers)
+    kernel = partial(_kernels.dead_time_counts, tau=tau)
+    return _counts_hists([(lam, trials, seed)], None, kernel, workers)[0]
 
 
 def hist_moments(hist: np.ndarray) -> tuple[float, float]:

@@ -14,7 +14,7 @@ import pytest
 import pmtcount
 from pmtcount import (ApproximationBreakdownError, ChannelParams,
                       DegenerateKlError, ReceiverConfig, SeriesBreakdownError,
-                      ber_mc, cli, detector, moments)
+                      ber_mc, cli, moments, simulate)
 from pmtcount.cli import (EXIT_BREAKDOWN, EXIT_INVALID_CONFIG, EXIT_OK, main)
 
 
@@ -401,16 +401,14 @@ def test_no_two_streams_share_a_key(monkeypatch, tmp_path):
     # Every histogram a sweep or ber_mc draws has its own stream key: the
     # fitted-rule fits, the evaluations, every point, and ber_mc at seeds
     # s and s + 1 (an int s and the tuple (s,) are the same key).
+    # Keys are recorded at simulate._counts_hists, one per run it draws.
     keys = []
+    real = simulate._counts_hists
 
-    def recorder(real):
-        def hist(lam, cfg, trials, seed, workers=1):
-            keys.append(seed if isinstance(seed, tuple) else (seed,))
-            return real(lam, cfg, trials, seed, workers)
-        return hist
-    for owner in (cli, detector):
-        monkeypatch.setattr(owner, "simulate_counts_hist",
-                            recorder(owner.simulate_counts_hist))
+    def recorded(runs, *args):
+        keys.extend(s if isinstance(s, tuple) else (s,) for _, _, s in runs)
+        return real(runs, *args)
+    monkeypatch.setattr(simulate, "_counts_hists", recorded)
     assert main(["ber", "--preset", "fig9", "--values", "0.01", "0.03",
                  "0.05", "--seed", "7", "--mc-fitted-rule", "--trials",
                  "20000", "-o", str(tmp_path / "b.csv")]) == EXIT_OK

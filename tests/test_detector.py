@@ -8,7 +8,7 @@ from scipy.special import gammaln
 from pmtcount import (BinomialApprox, ChannelParams, MlRule, ReceiverConfig,
                       ber_mc, binomial_approx, build_rule, build_rule_from_fit,
                       derive_params, error_prob_analytic, moments_full,
-                      ml_threshold_general)
+                      ml_threshold_general, simulate_counts_hist)
 from pmtcount import moments
 from pmtcount.moments import binom_logpmf
 
@@ -205,6 +205,27 @@ class TestBerMc:
         b1 = ber_mc(chan, OPERATING_CFG, 30_000, seed=23, workers=1)
         b4 = ber_mc(chan, OPERATING_CFG, 30_000, seed=23, workers=4)
         assert b1 == b4
+
+    @pytest.mark.parametrize("symbols,seed", [(30_001, 24), (4_000, (25, 3)),
+                                              (1, 26)])
+    def test_matches_separate_hypothesis_runs(self, symbols, seed):
+        # One pass over both hypotheses gives the (ber, stderr) of one
+        # histogram per hypothesis on (*key, 0) and (*key, 1); with one
+        # symbol, hypothesis 0 draws nothing.
+        chan = ChannelParams(lambda0=1.0, lambda1=12.0)
+        rule = build_rule(chan, OPERATING_CFG)
+        key = seed if isinstance(seed, tuple) else (seed,)
+        n0 = symbols // 2
+        h1 = simulate_counts_hist(12.0, OPERATING_CFG, symbols - n0, (*key, 1))
+        errors = int(h1[:rule.n_th + 1].sum())
+        if n0:
+            h0 = simulate_counts_hist(1.0, OPERATING_CFG, n0, (*key, 0))
+            errors += int(h0[rule.n_th + 1:].sum())
+        ber = errors / symbols
+        se = math.sqrt(max(ber * (1.0 - ber), 1.0 / symbols) / symbols)
+        for workers in (1, 2, 3):
+            assert ber_mc(chan, OPERATING_CFG, symbols, seed,
+                          workers) == (ber, se)
 
     def test_rejects_empty_run(self):
         chan = ChannelParams(lambda0=1.0, lambda1=12.0)

@@ -1,4 +1,5 @@
 """Event-level Monte Carlo engine: single-trial chain and batch reductions."""
+import functools
 import math
 import multiprocessing
 import os
@@ -286,6 +287,109 @@ class TestBatchEngine:
             pytest.fail("forked child hung on the pool")
         assert proc.exitcode == 0
         assert np.array_equal(np.load(out), want)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    @pytest.mark.parametrize("runs", [
+        # Mixed rates and uneven trial counts: 3 + 10 + 1 + 2 batches.
+        [(1.0, 40_001, (5, 0)), (12.0, 25_003, (5, 1)), (0.0, 3, 6),
+         (12.0, 2_731, (5, 2))],
+        # Fewer batches (3) than threads at workers = 8.
+        [(12.0, 2_000, 7), (0.0, 10, (7, 1)), (1.0, 999, (7, 2))],
+    ], ids=["uneven", "few_batches"])
+    def test_one_pass_matches_separate_calls(self, runs, workers):
+        # Drawing several runs in one pass moves no stream and no byte: each
+        # run's histogram is the one its own call gives, for both kernels.
+        cfg = ReceiverConfig(T=0.01, tau=0.01, xi=0.3, sigma=0.2, sigma0=0.02)
+        got = simulate.simulate_counts_hists(runs, cfg, workers)
+        ideal = simulate._counts_hists(
+            runs, None, functools.partial(_kernels.dead_time_counts, tau=0.01),
+            workers)
+        assert len(got) == len(ideal) == len(runs)
+        for (lam, trials, seed), h, g in zip(runs, got, ideal):
+            want = simulate_counts_hist(lam, cfg, trials, seed)
+            assert h.dtype == want.dtype and np.array_equal(h, want)
+            want = ideal_counts_hist(lam, 0.01, trials, seed)
+            assert g.dtype == want.dtype and np.array_equal(g, want)
+
+    def test_one_pass_draws_most_arrivals_first(self, monkeypatch):
+        # Batches run in descending lam * n; ties keep run, then batch order.
+        order = []
+
+        def recorded(lam, cfg, rng, n):
+            order.append((lam * n, rng.bit_generator.seed_seq.spawn_key))
+            return _draw_batch(lam, cfg, rng, n)
+        monkeypatch.setattr(simulate, "_draw_batch", recorded)
+        cfg = ReceiverConfig(T=0.01, tau=0.01, xi=0.3, sigma=0.2, sigma0=0.02)
+        simulate.simulate_counts_hists(
+            [(1.0, 2_730, (3, 0)), (12.0, 5_461, (3, 1)), (2.0, 1_365, 4)],
+            cfg)
+        # Run 1 has batches of 1 821, 1 820 and 1 820 trials; runs 0 and 2
+        # tie at 2 730 expected arrivals.
+        assert order == [(12.0 * 1_821, (1, 0)), (12.0 * 1_820, (1, 1)),
+                         (12.0 * 1_820, (1, 2)), (2_730.0, (0, 0)),
+                         (2_730.0, (0,))]
+
+    def test_map_batches_hands_out_each_index_once(self):
+        # 8 threads on a short switch interval, each yielding in every
+        # batch: a lost or doubled hand-out of the shared index would skip
+        # or repeat a batch.
+        calls = []
+
+        def worker(b):
+            calls.append((b, threading.current_thread().name))
+            time.sleep(0)
+            return b * b
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = simulate._map_batches(worker, 5000, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [b * b for b in range(5000)]
+        assert sorted(b for b, _ in calls) == list(range(5000))
+        assert len({name for _, name in calls}) > 1
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_failed_batch_stops_the_pass(self, monkeypatch, workers):
+        # A raising batch stops the hand-out; the call raises its exception
+        # only once no helper runs a batch, and the pool stays usable.
+        cfg = ReceiverConfig(T=0.01, tau=0.01, xi=0.3, sigma=0.2, sigma0=0.02)
+        want = simulate_counts_hist(12.0, cfg, 40_000, seed=4)  # 15 batches
+        lock, state = threading.Lock(), {"active": 0, "started": 0}
+
+        class Boom(Exception):
+            pass
+
+        def draw(lam, cfg, rng, n):
+            with lock:
+                state["active"] += 1
+                state["started"] += 1
+            time.sleep(0.02)
+            if rng.bit_generator.seed_seq.spawn_key[-1] == 3:
+                with lock:
+                    state["active"] -= 1
+                raise Boom
+            return _draw_batch(lam, cfg, rng, n)
+
+        def kernel(*args, **kwargs):
+            try:
+                return real_kernel(*args, **kwargs)
+            finally:
+                with lock:
+                    state["active"] -= 1
+        real_kernel = _kernels.receiver_counts
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "_draw_batch", draw)
+            m.setattr(_kernels, "receiver_counts", kernel)
+            with pytest.raises(Boom):
+                simulate_counts_hist(12.0, cfg, 40_000, 4, workers)
+            assert state["active"] == 0
+            started = state["started"]
+            time.sleep(0.1)
+            assert state["started"] == started < 15
+        assert np.array_equal(
+            simulate_counts_hist(12.0, cfg, 40_000, seed=4, workers=workers),
+            want)
 
     def test_ideal_worker_count_invariance(self):
         h1 = ideal_counts_hist(10.0, 0.01, 50_000, seed=7, workers=1)
