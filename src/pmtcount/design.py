@@ -10,7 +10,7 @@ of their objective on the (xi, tau) grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -59,8 +59,8 @@ def kl_equal_n(b0: BinomialApprox, b1: BinomialApprox) -> tuple[float, float]:
 
 
 def _kl_base(Na, Pa, Nb, Pb, xp=math):
-    """D(Pa||Pb) without the log-binomial-coefficient expectation, which
-    vanishes when floor(Na) == floor(Nb); xp=np evaluates arrays."""
+    """D(Pa||Pb) less the log-binomial-coefficient term, 0 only at Na == Nb;
+    the full path omits it where floor(Na) == floor(Nb); xp=np for arrays."""
     return (Na * Pa * xp.log(Pa / Pb)
             + Na * (1.0 - Pa) * (xp.log1p(-Pa) - xp.log1p(-Pb))
             + (Na - Nb) * xp.log1p(-Pb))
@@ -312,13 +312,16 @@ def select_params(channel: ChannelParams, cfg_template: ReceiverConfig,
         raise ValueError("grids must be nonempty")
 
     def cfg_at(xi, tau):
-        return replace(cfg_template, xi=float(xi), tau=float(tau))
+        return ReceiverConfig(T, float(tau), float(xi), cfg_template.sigma,
+                              cfg_template.sigma0)
 
-    xi_sorted, mid = np.sort(xi_grid, axis=None), xi_grid.size // 2
-    # np.median, bitwise: the middle value or the mean of the two.
-    mid_cfg = cfg_at(xi_sorted[mid] if xi_grid.size % 2
-                     else (xi_sorted[mid - 1] + xi_sorted[mid]) / 2.0, T)
-    cond_mid = check_conditions(channel, mid_cfg)
+    # The fast-path test and the degenerate result read the grid median.
+    if not force_full or channel.lambda_s == 0.0:
+        xi_sorted, mid = np.sort(xi_grid, axis=None), xi_grid.size // 2
+        # np.median, bitwise: the middle value or the mean of the two.
+        mid_cfg = cfg_at(xi_sorted[mid] if xi_grid.size % 2
+                         else (xi_sorted[mid - 1] + xi_sorted[mid]) / 2.0, T)
+        cond_mid = check_conditions(channel, mid_cfg)
     if channel.lambda_s == 0.0:
         return DesignResult(xi_star=mid_cfg.xi, tau_star=T, kl_01=0.0,
                             kl_10=0.0, conditions=cond_mid, predicted_ber=0.5,

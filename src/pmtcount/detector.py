@@ -8,7 +8,8 @@ import numpy as np
 
 from .moments import BinomialApprox, binomial_approx, moments_full
 from .params import ApproximationBreakdownError, ChannelParams, ReceiverConfig
-# simulate_counts_hist stays importable here: perfbench traces it at detector.
+# Unused here (ber_mc draws through simulate_counts_hists); imported only
+# so perfbench's tracer can wrap it at detector: CI fails on an absent span.
 from .simulate import simulate_counts_hist, simulate_counts_hists
 
 

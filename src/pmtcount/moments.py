@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .params import (ApproximationBreakdownError, DerivedParams,
-                     ReceiverConfig, _elementwise, check_rate)
+                     ReceiverConfig, check_rate)
 
 
 class Regime(enum.Enum):
@@ -88,7 +88,8 @@ def binom_logpmf(n: np.ndarray, approx: BinomialApprox) -> np.ndarray:
     """
     n = np.asarray(n, dtype=float)
     N, P = approx.N, approx.P
-    lg = _elementwise(math.lgamma, np.stack([n + 1.0, N - n + 1.0]))
+    k = (n + 1.0).ravel().tolist() + (N - n + 1.0).ravel().tolist()
+    lg = np.fromiter(map(math.lgamma, k), float, len(k)).reshape(2, *n.shape)
     return (math.lgamma(N + 1.0) - lg[0] - lg[1]
             + n * math.log(P) + (N - n) * math.log1p(-P))
 

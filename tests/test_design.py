@@ -310,6 +310,28 @@ class TestSelectParams:
         select_params(ChannelParams(0.3, 9.3), TEMPLATE, xi_grid=xi_grid)
         assert seen[0] == float(np.median(xi_grid))
 
+    @pytest.mark.parametrize("chan", [ChannelParams(1.0, 12.0),
+                                      ChannelParams(5.0, 5.0)],
+                             ids=["separable", "degenerate"])
+    def test_forced_full_path_checks_only_what_it_reports(self, chan,
+                                                          monkeypatch):
+        # A forced full search takes no fast-path test at the grid median:
+        # the conditions are checked once, at the reported point, which
+        # is the median itself on a degenerate channel.
+        seen = []
+        check = design.check_conditions
+        monkeypatch.setattr(design, "check_conditions",
+                            lambda ch, cfg: seen.append(cfg) or check(ch, cfg))
+        xi_grid = [0.7, 0.1, 0.3, 0.2]
+        result = select_params(chan, TEMPLATE, xi_grid=xi_grid,
+                               force_full=True)
+        assert [(cfg.xi, cfg.tau) for cfg in seen] == \
+            [(result.xi_star, result.tau_star)]
+        assert result.conditions == check(chan, seen[0])
+        assert result.separable == (chan.lambda_s > 0.0)
+        if not result.separable:
+            assert result.xi_star == float(np.median(xi_grid))
+
     def test_scalar_chain_goes_through_moments_full(self, monkeypatch):
         # design and detector reach the moment model by its public name,
         # so wrapping that name (as a tracer does) sees every evaluation.

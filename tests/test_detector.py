@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 
 from pmtcount import (BinomialApprox, ChannelParams, MlRule, ReceiverConfig,
@@ -64,6 +65,24 @@ class TestBinomPmf:
         got = binom_logpmf(n, BinomialApprox(N=N, P=P))
         scale = gammaln(N + 1.0) + 1.0
         assert np.all(np.abs(got - ref) <= 8.0 * np.finfo(float).eps * scale)
+
+    @settings(max_examples=200, deadline=None)
+    @given(N=st.floats(0.5, 5000.0), P=st.floats(1e-9, 1.0 - 1e-9),
+           data=st.data())
+    def test_matches_elementwise_math_bitwise(self, N, P, data):
+        # Each element is the scalar formula, evaluated in the same order,
+        # whatever the order, repeats and shape of the counts.
+        ks = data.draw(st.lists(st.integers(0, int(N)), min_size=1,
+                                max_size=40))
+        n = np.array(ks)
+        if n.size % 2 == 0 and data.draw(st.booleans()):
+            n = n.reshape(2, -1)
+        ref = np.array([math.lgamma(N + 1.0) - math.lgamma(k + 1.0)
+                        - math.lgamma(N - k + 1.0) + k * math.log(P)
+                        + (N - k) * math.log1p(-P) for k in ks])
+        got = binom_logpmf(n, BinomialApprox(N=N, P=P))
+        assert got.shape == n.shape
+        assert got.tobytes() == ref.tobytes()
 
     def test_renormalization_gap_small_at_operating_point(self):
         b0 = binomial_approx(moments_full(1.0, OPERATING_CFG),
