@@ -18,10 +18,8 @@ from .moments import (ApproximationBreakdownError, BinomialApprox,
                       CountMoments, Regime, binomial_approx, fit_binomial,
                       moments_approx_noiseless, moments_exact_noiseless,
                       moments_full, moments_shot)
-from .simulate import (ArrivalSet, SampleStream, TrialResult,
-                       count_rising_edges, gen_arrivals, hist_moments,
-                       ideal_counts_hist, simulate_counts_hist,
-                       simulate_symbol, synth_samples)
+from .simulate import (count_rising_edges, hist_moments, ideal_counts_hist,
+                       simulate_counts_hist)
 from .detector import (MlRule, ber_mc, build_rule, build_rule_from_fit,
                        error_prob_analytic, ml_threshold_general)
 from .design import (ConditionFlags, DegenerateKlError, DesignResult,

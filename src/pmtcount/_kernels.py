@@ -1,6 +1,6 @@
 """Hot Monte Carlo kernels of the batch engine: numpy, no Python loops over
 arrivals, and no sort unless noise flips cells. The single-trial chain in
-`simulate` is their reference.
+`tests/test_simulate.py` is their reference.
 
 Batch layout (ragged, one entry per arrival): key (m,) is the int64
 row << 49 | epoch of each arrival, where row is its trial and epoch / 2**49

@@ -296,7 +296,7 @@ def select_params(channel: ChannelParams, cfg_template: ReceiverConfig,
     breakdown points are skipped and counted. The grid is evaluated in
     one numpy pass; the scalar chain (the batched pass's oracle) reports
     the chosen point. A user grid with a NaN or infinite entry raises
-    ValueError.
+    ValueError; one whose median xi is <= 0 takes the full path.
     """
     T = cfg_template.T
     xi_grid = default_xi_grid(cfg_template) if xi_grid is None \
@@ -315,19 +315,22 @@ def select_params(channel: ChannelParams, cfg_template: ReceiverConfig,
         return ReceiverConfig(T, float(tau), float(xi), cfg_template.sigma,
                               cfg_template.sigma0)
 
-    # The fast-path test and the degenerate result read the grid median.
+    # The fast-path test and the degenerate result read the grid median;
+    # a median <= 0 is no receiver, so the search takes the full grid.
+    fast = False
     if not force_full or channel.lambda_s == 0.0:
         xi_sorted, mid = np.sort(xi_grid, axis=None), xi_grid.size // 2
         # np.median, bitwise: the middle value or the mean of the two.
-        mid_cfg = cfg_at(xi_sorted[mid] if xi_grid.size % 2
-                         else (xi_sorted[mid - 1] + xi_sorted[mid]) / 2.0, T)
-        cond_mid = check_conditions(channel, mid_cfg)
+        xi_mid = (xi_sorted[mid] if xi_grid.size % 2
+                  else (xi_sorted[mid - 1] + xi_sorted[mid]) / 2.0)
+        if xi_mid > 0.0 or channel.lambda_s == 0.0:
+            cond_mid = check_conditions(channel, cfg_at(xi_mid, T))
+            fast = (not force_full and cond_mid.kl_asymmetry
+                    and cond_mid.holding_time_ok and cond_mid.p_bound)
     if channel.lambda_s == 0.0:
-        return DesignResult(xi_star=mid_cfg.xi, tau_star=T, kl_01=0.0,
+        return DesignResult(xi_star=float(xi_mid), tau_star=T, kl_01=0.0,
                             kl_10=0.0, conditions=cond_mid, predicted_ber=0.5,
                             fast_path=False, separable=False)
-    fast = (not force_full and cond_mid.kl_asymmetry
-            and cond_mid.holding_time_ok and cond_mid.p_bound)
 
     taus = np.array([T]) if fast else tau_grid
     vals, skipped = _grid_objective(channel, cfg_template, xi_grid, taus, fast)

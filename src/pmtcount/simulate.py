@@ -25,7 +25,6 @@ from __future__ import annotations
 import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
@@ -52,60 +51,6 @@ def _batch_rng(seed: int | tuple, batch_index: int) -> np.random.Generator:
         np.random.SeedSequence(entropy, spawn_key=(*key, batch_index)))
 
 
-# ---------------------------------------------------------------------------
-# single-trial operations (unit-test surface; the batch engine is the
-# vectorized equivalent)
-
-@dataclass(frozen=True)
-class ArrivalSet:
-    """Sorted photon arrival epochs within one normalized symbol."""
-    times: np.ndarray
-
-
-@dataclass(frozen=True)
-class SampleStream:
-    """Analog samples F(t_k) at t_k = kT and their quantized bits."""
-    values: np.ndarray
-    bits: np.ndarray
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    n_s: int
-    arrivals: int
-
-
-def gen_arrivals(lam: float, rng: np.random.Generator) -> ArrivalSet:
-    """Poisson(lam) arrival count with i.i.d. uniform epochs on [0, 1)."""
-    check_rate(lam)
-    n = rng.poisson(lam)
-    times = np.sort(rng.random(n))
-    return ArrivalSet(times=times)
-
-
-def synth_samples(arrivals: ArrivalSet, cfg: ReceiverConfig,
-                  rng: np.random.Generator) -> SampleStream:
-    """Held pulses with Gaussian amplitudes plus thermal noise, sampled.
-
-    Each arrival contributes a rectangular pulse of width tau whose
-    amplitude is drawn once from Normal(1, sigma^2); overlapping pulses
-    add. Per-sample thermal noise is Normal(0, sigma0^2).
-    """
-    n_samp = cfg.n_samples
-    t = arrivals.times
-    if cfg.sigma > 0.0:
-        amps = rng.normal(1.0, cfg.sigma, t.size)
-    else:
-        amps = np.ones(t.size)
-    tk = np.arange(1, n_samp + 1) * cfg.T
-    covered = (t[None, :] <= tk[:, None]) & (tk[:, None] < (t + cfg.tau)[None, :])
-    values = covered @ amps
-    if cfg.sigma0 > 0.0:
-        values = values + rng.normal(0.0, cfg.sigma0, n_samp)
-    bits = (values >= cfg.xi).astype(np.int8)
-    return SampleStream(values=values, bits=bits)
-
-
 def count_rising_edges(bits: np.ndarray) -> int:
     """Number of 0->1 transitions, with an implicit 0 before the stream."""
     b = np.asarray(bits).astype(bool)
@@ -113,17 +58,6 @@ def count_rising_edges(bits: np.ndarray) -> int:
         return 0
     return int(b[0]) + int((b[1:] & ~b[:-1]).sum())
 
-
-def simulate_symbol(lam: float, cfg: ReceiverConfig,
-                    rng: np.random.Generator) -> TrialResult:
-    arrivals = gen_arrivals(lam, rng)
-    stream = synth_samples(arrivals, cfg, rng)
-    return TrialResult(n_s=count_rising_edges(stream.bits),
-                       arrivals=arrivals.times.size)
-
-
-# ---------------------------------------------------------------------------
-# batch engine
 
 def _flip_candidates(rng, size, r):
     """Sorted positions in [0, size), each included independently with

@@ -544,6 +544,19 @@ class TestBatchedGrid:
         assert ref_skipped == (2 if result.fast_path else 9)
         assert result.skipped_points == ref_skipped
 
+    def test_nonpositive_grid_median_searches_full_grid(self):
+        # A median xi <= 0 is no receiver to test the fast path at: the
+        # automatic search is the forced full one. A degenerate channel's
+        # result is the median, so there it stays an error.
+        xi = [-0.3, -0.1, 0.3]
+        auto = select_params(ChannelParams(1.0, 12.0), TEMPLATE, xi_grid=xi)
+        full = select_params(ChannelParams(1.0, 12.0), TEMPLATE, xi_grid=xi,
+                             force_full=True)
+        assert auto == full
+        assert (auto.xi_star, auto.skipped_points) == (0.3, 20)
+        with pytest.raises(ValueError):
+            select_params(ChannelParams(5.0, 5.0), TEMPLATE, xi_grid=xi)
+
     def test_rejects_holding_times_below_T(self):
         # Within the multiple-of-T tolerance, but in the T > tau regime.
         chan = ChannelParams(lambda0=1.0, lambda1=12.0)

@@ -6,7 +6,7 @@ import pytest
 from scipy import special
 
 from pmtcount import (ChannelParams, ReceiverConfig, derive_params,
-                      gaussian_q, gen_arrivals, moments_full,
+                      gaussian_q, moments_full, simulate_counts_hist,
                       subpoisson_moments, subpoisson_pmf)
 
 # Frozen high-precision reference values (computed with an independent
@@ -148,10 +148,12 @@ class TestDeriveParams:
     lambda: subpoisson_pmf(math.nan, 0.01),
     lambda: subpoisson_moments(math.inf, 0.01),
     lambda: moments_full(math.nan, ReceiverConfig(T=0.01, tau=0.02, xi=0.3)),
-    lambda: gen_arrivals(math.inf, np.random.default_rng(0)),
+    lambda: simulate_counts_hist(math.inf,
+                                 ReceiverConfig(T=0.01, tau=0.02, xi=0.3),
+                                 1, 0),
 ], ids=["xi_nan", "xi_inf", "sigma_nan", "sigma0_inf", "lambda1_inf",
         "lambda0_nan", "lambda1_nan", "pmf_nan", "subpoisson_moments_inf",
-        "moments_full_nan", "gen_arrivals_inf"])
+        "moments_full_nan", "simulate_counts_hist_inf"])
 def test_nonfinite_parameters_rejected(build):
     with pytest.raises(ValueError):
         build()

@@ -16,13 +16,44 @@ from scipy.stats import chi2_contingency, chisquare, poisson
 
 import pmtcount
 from pmtcount import (ReceiverConfig, count_rising_edges, derive_params,
-                      gen_arrivals, hist_moments, ideal_counts_hist,
-                      moments_exact_noiseless, simulate_counts_hist,
-                      simulate_symbol, synth_samples)
+                      hist_moments, ideal_counts_hist,
+                      moments_exact_noiseless, simulate_counts_hist)
 from pmtcount import _kernels, simulate
 from pmtcount._kernels import _EPOCH_BITS
+from pmtcount.params import check_rate
 from pmtcount.simulate import (BATCH_SIZE, _batch_rng, _draw_batch,
                                _flip_candidates)
+
+
+# The single-trial chain, the batch engine's scalar oracle. A symbol draws
+# its Poisson count, sorted uniform epochs, Normal(1, sigma) amplitudes if
+# sigma > 0, then Normal(0, sigma0) noise if sigma0 > 0.
+
+def arrival_times(lam, rng):
+    """Sorted epochs of Poisson(lam) arrivals, i.i.d. uniform on [0, 1)."""
+    check_rate(lam)
+    return np.sort(rng.random(rng.poisson(lam)))
+
+
+def sample_values(times, cfg, rng):
+    """F(t_k) at t_k = kT, k = 1..n_samples: each arrival holds a pulse of
+    width tau and Normal(1, sigma^2) amplitude, overlapping pulses add, and
+    each sample gets Normal(0, sigma0^2) noise. Its bit is F >= xi."""
+    if cfg.sigma > 0.0:
+        amps = rng.normal(1.0, cfg.sigma, times.size)
+    else:
+        amps = np.ones(times.size)
+    tk = np.arange(1, cfg.n_samples + 1)[:, None] * cfg.T
+    values = ((times <= tk) & (tk < times + cfg.tau)) @ amps
+    if cfg.sigma0 > 0.0:
+        values = values + rng.normal(0.0, cfg.sigma0, cfg.n_samples)
+    return values
+
+
+def symbol_count(lam, cfg, rng):
+    """Recorded pulse count of one symbol."""
+    values = sample_values(arrival_times(lam, rng), cfg, rng)
+    return count_rising_edges(values >= cfg.xi)
 
 
 def _decode(key):
@@ -58,59 +89,65 @@ KERNEL_IDS = ["fig6_noisy", "T_gt_tau", "noiseless_wide", "no_arrivals",
               "near_band", "noisy_wide", "fractional_tau"]
 
 
+def test_library_exports_no_single_trial_chain():
+    # The chain above is a test oracle; only its edge rule is public.
+    assert "count_rising_edges" in pmtcount.__all__
+    assert not {"gen_arrivals", "synth_samples", "simulate_symbol",
+                "ArrivalSet", "SampleStream",
+                "TrialResult"} & set(pmtcount.__all__)
+
+
 class TestArrivals:
     def test_zero_rate_is_empty(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            assert gen_arrivals(0.0, rng).times.size == 0
+            assert arrival_times(0.0, rng).size == 0
 
     def test_sorted_within_symbol(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            t = gen_arrivals(10.0, rng).times
+            t = arrival_times(10.0, rng)
             assert np.all(np.diff(t) >= 0.0)
             assert np.all((t >= 0.0) & (t < 1.0))
 
     def test_mean_count(self):
         rng = np.random.default_rng(2)
         trials = 100_000
-        total = sum(gen_arrivals(10.0, rng).times.size
+        total = sum(arrival_times(10.0, rng).size
                     for _ in range(trials))
         bound = 4.0 * math.sqrt(10.0 / trials)
         assert abs(total / trials - 10.0) < bound
 
     def test_rejects_negative_rate(self):
         with pytest.raises(ValueError):
-            gen_arrivals(-1.0, np.random.default_rng(0))
+            arrival_times(-1.0, np.random.default_rng(0))
 
 
 class TestSampleSynthesis:
     def test_no_arrivals_no_noise_all_low(self):
         cfg = ReceiverConfig(T=0.01, tau=0.02, xi=0.3)
         rng = np.random.default_rng(3)
-        stream = synth_samples(gen_arrivals(0.0, rng), cfg, rng)
-        assert np.all(stream.values == 0.0)
-        assert np.all(stream.bits == 0)
+        values = sample_values(arrival_times(0.0, rng), cfg, rng)
+        assert np.all(values == 0.0)
+        assert np.all(values < cfg.xi)
 
     def test_single_pulse_geometry(self):
         # A unit pulse on [0.005, 0.025) covers the samples at t=0.01 and
         # t=0.02 only, producing exactly one rising edge.
-        from pmtcount.simulate import ArrivalSet
         cfg = ReceiverConfig(T=0.01, tau=0.02, xi=0.3)
         rng = np.random.default_rng(4)
-        stream = synth_samples(ArrivalSet(times=np.array([0.005])), cfg, rng)
-        assert np.all(stream.bits[:2] == 1)
-        assert np.all(stream.bits[2:] == 0)
-        assert count_rising_edges(stream.bits) == 1
+        bits = sample_values(np.array([0.005]), cfg, rng) >= cfg.xi
+        assert np.all(bits[:2] == 1)
+        assert np.all(bits[2:] == 0)
+        assert count_rising_edges(bits) == 1
 
     def test_overlapping_pulses_add(self):
         # k coincident pulses stack; the covered sample has variance
         # k sigma^2 around mean k.
-        from pmtcount.simulate import ArrivalSet
         cfg = ReceiverConfig(T=0.01, tau=0.02, xi=0.3, sigma=0.2)
         rng = np.random.default_rng(5)
-        arrivals = ArrivalSet(times=np.array([0.005, 0.005]))
-        vals = np.array([synth_samples(arrivals, cfg, rng).values[0]
+        times = np.array([0.005, 0.005])
+        vals = np.array([sample_values(times, cfg, rng)[0]
                          for _ in range(20_000)])
         assert vals.mean() == pytest.approx(2.0, abs=0.02)
         assert vals.var() == pytest.approx(2.0 * cfg.sigma ** 2, rel=0.1)
@@ -541,11 +578,11 @@ class TestBatchEngine:
             assert np.all((times >= 0.0) & (times < 1.0))
 
     def test_batch_matches_single_trial_chain(self):
-        # The batch engine and the single-trial API sample the same model;
+        # The batch engine and the single-trial chain sample the same model;
         # compare their means at loose MC tolerance.
         cfg = ReceiverConfig(T=0.01, tau=0.01, xi=0.3)
         rng = np.random.default_rng(9)
-        single = np.array([simulate_symbol(10.0, cfg, rng).n_s
+        single = np.array([symbol_count(10.0, cfg, rng)
                            for _ in range(20_000)])
         mean_b, var_b = hist_moments(
             simulate_counts_hist(10.0, cfg, 100_000, seed=10))
@@ -567,7 +604,7 @@ class TestBatchEngine:
         # pooled until every expected count is at least 5.
         cfg = ReceiverConfig(T=0.01, tau=tau, xi=xi, sigma=0.2, sigma0=sigma0)
         rng = np.random.default_rng(seed)
-        single = np.bincount([simulate_symbol(lam, cfg, rng).n_s
+        single = np.bincount([symbol_count(lam, cfg, rng)
                               for _ in range(20_000)])
         batch = simulate_counts_hist(lam, cfg, 100_000, seed=seed + 1)
         table = np.zeros((2, max(single.size, batch.size)))
