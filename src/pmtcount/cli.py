@@ -382,17 +382,17 @@ def main(argv=None) -> int:
     try:
         _resolve(args)
         header, rows = _COMMANDS[args.command](args)
+        _write_csv(args.output, header, rows)
+        _write_manifest(args.output, args, time.monotonic() - start)
     except ApproximationBreakdownError as exc:
         print(f"pmtcount: approximation breakdown: {exc}", file=sys.stderr)
         return EXIT_BREAKDOWN
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"pmtcount: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"pmtcount: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    _write_csv(args.output, header, rows)
-    _write_manifest(args.output, args, time.monotonic() - start)
     return EXIT_OK
 
 

@@ -210,8 +210,8 @@ def check_conditions(channel: ChannelParams,
 
 @dataclass(frozen=True)
 class DesignResult:
-    """The chosen operating point; skipped_points is the number of grid
-    points skipped because the scalar chain raises there."""
+    """The chosen operating point; skipped_points counts the grid points
+    skipped because the model breaks down there (the scalar chain raises)."""
     xi_star: float
     tau_star: float
     kl_01: float
@@ -225,8 +225,8 @@ class DesignResult:
 
 @np.errstate(divide="ignore", invalid="ignore")
 def _binomial_grid(lam, cfg, xi, tau):
-    """moments_full -> binomial_approx's (N, P) at broadcast (lam, xi, tau),
-    tau >= T, and a mask that is False where that chain would raise."""
+    """moments_full -> binomial_approx's (N, P) at broadcast (lam, xi > 0,
+    T <= tau < 1), and a mask that is False where that chain would raise."""
     d = derive_params(SimpleNamespace(T=cfg.T, tau=tau, xi=xi, sigma=cfg.sigma,
                                       sigma0=cfg.sigma0))
     tau_eq = tau + cfg.T / 2.0
@@ -234,8 +234,7 @@ def _binomial_grid(lam, cfg, xi, tau):
     mean = _mean_le(lam_p, d.p, tau, cfg.T, np)
     c = _bracket(d, lam_p, mean, tau_eq)
     N, P = _n_p(mean, tau_eq, c)
-    ok = ((xi > 0.0) & (tau > 0.0) & (tau < 1.0) & (mean > 0.0) & (c < 1.0)
-          & (P > 0.0) & (P < 1.0) & (N > mean))
+    ok = (mean > 0.0) & (c < 1.0) & (P > 0.0) & (P < 1.0) & (N > mean)
     return N, P, ok
 
 
@@ -276,57 +275,38 @@ def default_tau_grid(cfg: ReceiverConfig) -> np.ndarray:
     return taus[taus < 1.0]
 
 
-def _finite(grid, name: str) -> np.ndarray:
-    """A user grid as a float array; ValueError on NaN or infinite entries."""
-    grid = np.asarray(grid, dtype=float)
-    if not np.isfinite(grid).all():
-        raise ValueError(f"{name} grid entries must be finite")
-    return grid
-
-
 def select_params(channel: ChannelParams, cfg_template: ReceiverConfig,
-                  xi_grid=None, tau_grid=None,
                   force_full: bool = False) -> DesignResult:
     """Select (xi*, tau*) by the max-min-KL criterion.
 
-    Fast path (conditions satisfied): tau* = T, grid search on xi
-    maximizing the approximate D(P0||P1). Full path: maximize
-    min(D01, D10) from the exact general-N KL over the (xi, tau) grid.
-    Both paths take the grid's first maximum in tau-major order;
-    breakdown points are skipped and counted. The grid is evaluated in
-    one numpy pass; the scalar chain (the batched pass's oracle) reports
-    the chosen point. A user grid with a NaN or infinite entry raises
-    ValueError; one whose median xi is <= 0 takes the full path.
+    Searches default_xi_grid x default_tau_grid. Fast path (conditions
+    satisfied): tau* = T, grid search on xi maximizing the approximate
+    D(P0||P1). Full path: maximize min(D01, D10) from the exact general-N
+    KL over the (xi, tau) grid. Both paths take the grid's first maximum
+    in tau-major order; breakdown points are skipped and counted. The
+    grid is evaluated in one numpy pass; the scalar chain (the batched
+    pass's oracle) reports the chosen point.
     """
     T = cfg_template.T
-    xi_grid = default_xi_grid(cfg_template) if xi_grid is None \
-        else _finite(xi_grid, "xi")
-    if tau_grid is None:
-        tau_grid = default_tau_grid(cfg_template)
-    else:
-        tau_grid = _finite(tau_grid, "tau")
-        k = tau_grid / T
-        if np.any((np.abs(k - np.round(k)) > 1e-9) | ((0.0 < k) & (k < 1.0))):
-            raise ValueError("tau grid must contain integer multiples of T")
-    if xi_grid.size == 0 or tau_grid.size == 0:
-        raise ValueError("grids must be nonempty")
+    xi_grid = default_xi_grid(cfg_template)
+    tau_grid = default_tau_grid(cfg_template)
+    if tau_grid.size == 0:
+        raise ValueError(f"no multiple of T={T} lies below the symbol")
 
     def cfg_at(xi, tau):
         return ReceiverConfig(T, float(tau), float(xi), cfg_template.sigma,
                               cfg_template.sigma0)
 
-    # The fast-path test and the degenerate result read the grid median;
-    # a median <= 0 is no receiver, so the search takes the full grid.
+    # The fast-path test and the degenerate result read the grid median.
     fast = False
     if not force_full or channel.lambda_s == 0.0:
-        xi_sorted, mid = np.sort(xi_grid, axis=None), xi_grid.size // 2
-        # np.median, bitwise: the middle value or the mean of the two.
-        xi_mid = (xi_sorted[mid] if xi_grid.size % 2
-                  else (xi_sorted[mid - 1] + xi_sorted[mid]) / 2.0)
-        if xi_mid > 0.0 or channel.lambda_s == 0.0:
-            cond_mid = check_conditions(channel, cfg_at(xi_mid, T))
-            fast = (not force_full and cond_mid.kl_asymmetry
-                    and cond_mid.holding_time_ok and cond_mid.p_bound)
+        mid = xi_grid.size // 2
+        # np.median of the ascending grid, bitwise.
+        xi_mid = (xi_grid[mid] if xi_grid.size % 2
+                  else (xi_grid[mid - 1] + xi_grid[mid]) / 2.0)
+        cond_mid = check_conditions(channel, cfg_at(xi_mid, T))
+        fast = (not force_full and cond_mid.kl_asymmetry
+                and cond_mid.holding_time_ok and cond_mid.p_bound)
     if channel.lambda_s == 0.0:
         return DesignResult(xi_star=float(xi_mid), tau_star=T, kl_01=0.0,
                             kl_10=0.0, conditions=cond_mid, predicted_ber=0.5,

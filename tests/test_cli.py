@@ -189,7 +189,7 @@ class TestConfigLayering:
 
     def test_config_file_overrides_preset(self, tmp_path):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("lam = 3\n")
+        cfg.write_text("# a comment-only line is skipped\nlam = 3\n")
         out = tmp_path / "m.csv"
         assert main(["moments", "--preset", "fig6", "--config", str(cfg),
                      "--xi", "0.3", "-o", str(out)]) == EXIT_OK
@@ -228,7 +228,7 @@ class TestConfigLayering:
 
     @pytest.mark.parametrize("line", ["lambda = 3", "lam_typo = 3",
                                       "output = 3", "trials = 2.5",
-                                      "values ="])
+                                      "values =", "trials 10"])
     def test_bad_config_file_key_or_value(self, tmp_path, line):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(line + "\n")
@@ -499,6 +499,26 @@ def test_threshold_beyond_binomial_support_is_breakdown(tmp_path):
                  "--sigma", "0.3", "--sigma0", "0.11924391515404767",
                  "-o", str(out)]) == EXIT_BREAKDOWN
     assert not out.exists()
+
+
+def test_design_without_holding_time_is_config_error(tmp_path):
+    # T = 1: the design grid has no multiple of T below the symbol.
+    out = tmp_path / "design.csv"
+    assert main(["design", "--T", "1", "--tau", "0.5", "--xi", "0.3",
+                 "--lambda0", "1", "--lambda1", "12",
+                 "-o", str(out)]) == EXIT_INVALID_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_output_is_config_error(where, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv" if where == "missing_dir" \
+        else tmp_path
+    assert main(["pmf", "--lambda", "5", "--tau", "0.02",
+                 "-o", str(out)]) == EXIT_INVALID_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("pmtcount: invalid configuration:")
+    assert "Traceback" not in err
 
 
 def test_import_and_every_command_leave_scipy_unloaded(tmp_path):

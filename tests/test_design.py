@@ -28,6 +28,14 @@ RANDOM_DESIGNS_SHA256 = (
 TEMPLATE = ReceiverConfig(T=0.01, tau=0.01, xi=0.3, sigma=0.2, sigma0=0.02)
 
 
+def _inject_xi_grid(monkeypatch, grid):
+    """Make select_params search `grid`, which must ascend, in place of
+    the default xi grid; None keeps the default."""
+    if grid is not None:
+        monkeypatch.setattr(design, "default_xi_grid",
+                            lambda cfg: np.asarray(grid, dtype=float))
+
+
 def _brute_force_kl(ba, bb):
     """Direct sum over the conditioning support with the truncation
     convention: the combinatorial log-ratio is dropped (treated as 0) for
@@ -218,6 +226,19 @@ class TestConditions:
             flags.holding_time_margin, flags.p_bound_margin,
             flags.kl_gap_value))
 
+    def test_gap_bound_infinite_where_binomial_breaks_down(self):
+        # 0 < n_hat0 < n_hat1, but binomial_approx at lambda0 raises
+        # (thermal bracket 1.23 >= 1): no finite bound exists.
+        cfg = ReceiverConfig(T=1 / 98, tau=16 / 98, xi=1.7, sigma=0.155,
+                             sigma0=0.208)
+        chan = ChannelParams(0.0, 56.0)
+        assert 0.0 < moments_full(0.0, cfg).mean < moments_full(56.0, cfg).mean
+        with pytest.raises(ValueError):
+            binomial_approx(moments_full(0.0, cfg), cfg.derived)
+        flags = check_conditions(chan, cfg)
+        assert flags.kl_gap_value == math.inf
+        assert flags.kl_gap_bound is False
+
 
 class TestSelectParams:
     def test_fast_path_fixes_holding_time(self):
@@ -237,12 +258,14 @@ class TestSelectParams:
         assert not result.separable
         assert result.predicted_ber == 0.5
 
-    @pytest.mark.parametrize("xi_grid", [None, [0.7, 0.1, 0.3]],
-                             ids=["default", "unsorted"])
-    def test_degenerate_channel_reports_grid_median(self, xi_grid):
+    @pytest.mark.parametrize("xi_grid", [None, [0.1, 0.3, 0.7]],
+                             ids=["default", "injected"])
+    def test_degenerate_channel_reports_grid_median(self, xi_grid,
+                                                    monkeypatch):
         # xi* is the point the conditions were checked at: the median.
         chan = ChannelParams(lambda0=5.0, lambda1=5.0)
-        result = select_params(chan, TEMPLATE, xi_grid=xi_grid)
+        _inject_xi_grid(monkeypatch, xi_grid)
+        result = select_params(chan, TEMPLATE)
         grid = default_xi_grid(TEMPLATE) if xi_grid is None else xi_grid
         assert result.xi_star == float(np.median(grid))
         cfg = ReceiverConfig(T=TEMPLATE.T, tau=TEMPLATE.T, xi=result.xi_star,
@@ -283,23 +306,13 @@ class TestSelectParams:
         assert xi.size == 64 and np.all(np.diff(xi) > 0.0)
         assert np.allclose(tau, TEMPLATE.T * np.arange(1, 11))
 
-    def test_rejects_off_grid_holding_times(self):
-        chan = ChannelParams(lambda0=0.3, lambda1=9.3)
-        with pytest.raises(ValueError):
-            select_params(chan, TEMPLATE, tau_grid=[0.015])
+    def test_rejects_receiver_without_holding_time(self):
+        # T = 1: no multiple of T lies below the symbol.
+        cfg = ReceiverConfig(T=1.0, tau=0.5, xi=0.3)
+        with pytest.raises(ValueError, match="no multiple of T"):
+            select_params(ChannelParams(1.0, 12.0), cfg)
 
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("grids", [
-        dict(tau_grid=[0.01, math.nan]), dict(tau_grid=[0.01, math.inf]),
-        dict(xi_grid=[0.2, 0.4, math.inf]), dict(xi_grid=[0.2, math.nan])],
-        ids=["tau_nan", "tau_inf", "xi_inf", "xi_nan"])
-    def test_rejects_non_finite_grid_entries(self, grids):
-        # Not skipped as invalid points, and no warning on the way.
-        chan = ChannelParams(lambda0=1.0, lambda1=12.0)
-        with pytest.raises(ValueError, match="grid entries must be finite"):
-            select_params(chan, TEMPLATE, force_full=True, **grids)
-
-    @pytest.mark.parametrize("xi_grid", [[0.4, 0.1, 0.3], [0.7, 0.1, 0.3, 0.2]])
+    @pytest.mark.parametrize("xi_grid", [[0.1, 0.3, 0.4], [0.1, 0.2, 0.3, 0.7]])
     def test_fast_path_decision_at_grid_median(self, xi_grid, monkeypatch):
         # The fast-path conditions are checked at np.median(xi_grid).
         seen = []
@@ -307,7 +320,8 @@ class TestSelectParams:
         monkeypatch.setattr(design, "check_conditions",
                             lambda chan, cfg: seen.append(cfg.xi)
                             or check(chan, cfg))
-        select_params(ChannelParams(0.3, 9.3), TEMPLATE, xi_grid=xi_grid)
+        _inject_xi_grid(monkeypatch, xi_grid)
+        select_params(ChannelParams(0.3, 9.3), TEMPLATE)
         assert seen[0] == float(np.median(xi_grid))
 
     @pytest.mark.parametrize("chan", [ChannelParams(1.0, 12.0),
@@ -322,9 +336,9 @@ class TestSelectParams:
         check = design.check_conditions
         monkeypatch.setattr(design, "check_conditions",
                             lambda ch, cfg: seen.append(cfg) or check(ch, cfg))
-        xi_grid = [0.7, 0.1, 0.3, 0.2]
-        result = select_params(chan, TEMPLATE, xi_grid=xi_grid,
-                               force_full=True)
+        xi_grid = [0.1, 0.2, 0.3, 0.7]
+        _inject_xi_grid(monkeypatch, xi_grid)
+        result = select_params(chan, TEMPLATE, force_full=True)
         assert [(cfg.xi, cfg.tau) for cfg in seen] == \
             [(result.xi_star, result.tau_star)]
         assert result.conditions == check(chan, seen[0])
@@ -357,8 +371,8 @@ class TestSelectParams:
     def test_chosen_point_matches_fresh_binomials(self):
         # Rule, BER and KL equal bitwise those from binomials built afresh
         # and read in another order, and the BER the plain PMF formula.
-        tmpl, chan, xi_grid = ORACLE_CASES["fig11"]
-        result = select_params(chan, tmpl, xi_grid=xi_grid, force_full=True)
+        tmpl, chan, _ = ORACLE_CASES["fig11"]
+        result = select_params(chan, tmpl, force_full=True)
         cfg = ReceiverConfig(T=tmpl.T, tau=result.tau_star,
                              xi=result.xi_star, sigma=tmpl.sigma,
                              sigma0=tmpl.sigma0)
@@ -409,7 +423,8 @@ class TestSelectParams:
 # channel that takes the fast path; a T = 0.02 receiver; and sigma0 = 0.1
 # on a xi grid low enough that thermal crossings leave unequal integer
 # parts of N0 and N1 (the general-N KL) and excluded-mass breakdowns,
-# which the default xi grid never reaches.
+# which the default xi grid never reaches; select_params reads that grid
+# through _inject_xi_grid.
 NOISY = ReceiverConfig(T=0.01, tau=0.01, xi=0.3, sigma=0.2, sigma0=0.1)
 NOISY_XI = np.linspace(0.05, 0.6, 23)
 ORACLE_CASES = {
@@ -514,13 +529,14 @@ class TestBatchedGrid:
     @pytest.mark.parametrize("case,force_full", [
         pytest.param(case, full, id=case if full else case + "-auto")
         for case in ORACLE_CASES for full in (True, False)])
-    def test_full_path_picks_scalar_optimum(self, case, force_full):
+    def test_full_path_picks_scalar_optimum(self, case, force_full,
+                                            monkeypatch):
         # On either path, the grid point that is the first maximum in
         # tau-major order, as a scan of the scalar chain finds it, with
         # the same skip count.
         tmpl, chan, xi_grid = ORACLE_CASES[case]
-        result = select_params(chan, tmpl, xi_grid=xi_grid,
-                               force_full=force_full)
+        _inject_xi_grid(monkeypatch, xi_grid)
+        result = select_params(chan, tmpl, force_full=force_full)
         assert result.fast_path is (case == "fig11_lam0.3" and not force_full)
         xi, taus = _grids(tmpl, xi_grid, result.fast_path)
         ref, ref_skipped, _, _ = _scalar_objective(chan, tmpl, xi, taus,
@@ -528,41 +544,6 @@ class TestBatchedGrid:
         i, j = np.unravel_index(np.argmax(ref), ref.shape)
         assert (result.tau_star, result.xi_star) == (taus[i], xi[j])
         assert result.skipped_points == ref_skipped
-
-    @pytest.mark.parametrize("force_full", [False, True])
-    def test_skipped_points_count_invalid_entries(self, force_full):
-        # xi <= 0 and tau = 1 fail ReceiverConfig; each such point counts.
-        chan = ChannelParams(lambda0=0.25, lambda1=4.0)
-        xi = np.array([-0.1, 0.0, 0.15, 0.3, 0.5])
-        taus = np.array([0.01, 0.02, 1.0])
-        result = select_params(chan, TEMPLATE, xi_grid=xi, tau_grid=taus,
-                               force_full=force_full)
-        assert result.fast_path is not force_full
-        taus = taus[:1] if result.fast_path else taus
-        ref, ref_skipped, _, _ = _scalar_objective(chan, TEMPLATE, xi, taus,
-                                                   result.fast_path)
-        assert ref_skipped == (2 if result.fast_path else 9)
-        assert result.skipped_points == ref_skipped
-
-    def test_nonpositive_grid_median_searches_full_grid(self):
-        # A median xi <= 0 is no receiver to test the fast path at: the
-        # automatic search is the forced full one. A degenerate channel's
-        # result is the median, so there it stays an error.
-        xi = [-0.3, -0.1, 0.3]
-        auto = select_params(ChannelParams(1.0, 12.0), TEMPLATE, xi_grid=xi)
-        full = select_params(ChannelParams(1.0, 12.0), TEMPLATE, xi_grid=xi,
-                             force_full=True)
-        assert auto == full
-        assert (auto.xi_star, auto.skipped_points) == (0.3, 20)
-        with pytest.raises(ValueError):
-            select_params(ChannelParams(5.0, 5.0), TEMPLATE, xi_grid=xi)
-
-    def test_rejects_holding_times_below_T(self):
-        # Within the multiple-of-T tolerance, but in the T > tau regime.
-        chan = ChannelParams(lambda0=1.0, lambda1=12.0)
-        with pytest.raises(ValueError):
-            select_params(chan, TEMPLATE, tau_grid=[0.01 * (1.0 - 1e-10)],
-                          force_full=True)
 
 
 # DesignResults pinned from the scalar-grid implementation: the batched
@@ -637,8 +618,10 @@ PINNED_DESIGNS = [
                          PINNED_DESIGNS,
                          ids=["fig11", "fig11_fast", "fig11_full",
                               "T0.02_fast", "noisy_full", "noisy_fast"])
-def test_design_result_pinned(tmpl, rates, xi_grid, force_full, expected):
-    assert select_params(ChannelParams(*rates), tmpl, xi_grid=xi_grid,
+def test_design_result_pinned(tmpl, rates, xi_grid, force_full, expected,
+                              monkeypatch):
+    _inject_xi_grid(monkeypatch, xi_grid)
+    assert select_params(ChannelParams(*rates), tmpl,
                          force_full=force_full) == expected
 
 

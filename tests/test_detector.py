@@ -192,6 +192,11 @@ class TestClassify:
 
 
 class TestErrorProbability:
+    def test_rule_rejects_negative_threshold(self):
+        b = BinomialApprox(N=30.0, P=0.2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            MlRule(-1, b, b)
+
     def test_indistinguishable_hypotheses(self):
         b = BinomialApprox(N=30.0, P=0.2)
         rule = build_rule_from_fit(b, b)

@@ -723,6 +723,10 @@ class TestBatchEngine:
         assert mean == pytest.approx(data.mean())
         assert var == pytest.approx(data.var(ddof=1))
 
+    def test_hist_moments_rejects_empty_histogram(self):
+        with pytest.raises(ValueError, match="empty histogram"):
+            hist_moments(np.zeros(3, int))
+
     def test_single_trial_degenerate_variance(self):
         cfg = ReceiverConfig(T=0.01, tau=0.01, xi=0.3)
         # One trial has no spread to estimate: variance 0, not an error.
